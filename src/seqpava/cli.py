@@ -193,7 +193,8 @@ def cmd_fit(args) -> int:
         "means": blocks.means.tolist(),
         "fit": fitted.tolist(),
     }
-    print(json.dumps(payload, indent=2))
+    # a non-finite number would print as Infinity or NaN, which is not JSON
+    print(json.dumps(payload, indent=2, allow_nan=False))
     return 0
 
 

@@ -9,7 +9,8 @@ component per step, and the non-increasing least-squares fit of that vector
 is the column of CDF estimates at threshold ``y``. The "abridged" variant
 carries the fit across steps with incremental updates; "standard" and
 "modified" refit from scratch at every step with the corresponding batch
-solver. All three agree to floating precision.
+solver. Recorded columns are computed from exact integer sums over the
+fitted blocks, so all three give bit-identical estimates.
 """
 from __future__ import annotations
 
@@ -169,7 +170,6 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
     n = obs.n
     w = obs.weights
     w_list = w.tolist()
-    wcum = np.concatenate(([0.0], np.cumsum(w))).tolist()
     unit_weights = bool((w == 1.0).all())
 
     order = np.lexsort((obs.group_index, obs.y))
@@ -188,7 +188,7 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
     table = np.empty((thresholds.size, m))
 
     if variant == "abridged":
-        bounds, means, weights = _fit_modified_lists(z, wcum)
+        bounds, means, weights = _fit_modified_lists(z, w)
     row = 0
     for t in range(n):
         j = groups[t]
@@ -197,16 +197,22 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
         if unit_weights:
             assert value == 1.0  # each group is hit once, the vector stays {0,1}-valued
         if variant == "abridged":
-            _abridged_update(bounds, means, weights, z, w, w_list, wcum, j + 1, value)
+            _abridged_update(bounds, means, weights, z, w, w_list, j + 1, value)
         else:
             z[j] = value
             z_list[j] = value
             if variant == "standard":
-                bounds, means, _ = _fit_standard_lists(z_list, w_list)
+                bounds = _fit_standard_lists(z_list, w_list)[0]
             else:
-                bounds, means, _ = _fit_modified_lists(z, wcum)
+                bounds = _fit_modified_lists(z, w)[0]
         if record[t]:
-            table[row] = np.repeat(means, np.diff(bounds))
+            # One division of exact integer sums (rounding z * w recovers the
+            # counts) makes each block mean correctly rounded whatever the
+            # pooling order, so rows cannot fall by an ulp.
+            b = np.array(bounds)
+            lo = b[:-1]
+            block_means = np.add.reduceat(np.rint(z * w), lo) / np.add.reduceat(w, lo)
+            table[row] = np.repeat(block_means, b[1:] - lo)
             row += 1
 
     return DistributionFamilyEstimate(

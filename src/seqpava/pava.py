@@ -66,6 +66,10 @@ class WeightedSeries:
                 raise ValueError(f"z has length {z.size} but w has length {w.size}")
             if not np.isfinite(w).all() or not (w > 0).all():
                 raise ValueError("weights must be finite and strictly positive")
+            with np.errstate(over="ignore"):
+                total = w.sum()
+            if not np.isfinite(total):
+                raise ValueError("weights must have a finite total")
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "w", w)
 
@@ -144,6 +148,8 @@ class FittedBlocks:
             raise ValueError(
                 f"expected {d} block means and weights, got {means.size} and {weights.size}"
             )
+        if not np.isfinite(means).all() or not np.isfinite(weights).all():
+            raise ValueError("block means and weights must be finite")
         if not (np.diff(means) < 0).all():
             raise ValueError("block means must be strictly decreasing")
         if not (weights > 0).all():
@@ -192,56 +198,75 @@ def _fit_standard_lists(z: list, w: list) -> tuple[list, list, list]:
     """One-index-at-a-time pooling pass over plain Python lists.
 
     Returns (bounds, means, weights) lists; block s covers 1-based positions
-    bounds[s-1]+1 .. bounds[s] and has mean means[s-1]. Pooling uses the
-    non-strict comparison, so equal neighbouring means always merge, and the
-    pooled mean is the weight-combined mean of the two blocks.
+    bounds[s-1]+1 .. bounds[s] and has mean means[s-1]. Every index enters
+    :func:`_absorb` as a run of its own.
     """
-    bounds = [0]
-    means = []
-    weights = []
-    j = 0
-    for zj, wj in zip(z, w):
-        j += 1
-        bounds.append(j)
-        means.append(zj)
-        weights.append(wj)
-        while len(means) > 1 and means[-2] <= means[-1]:
-            md = means.pop()
-            wd = weights.pop()
-            del bounds[-2]
-            wp = weights[-1]
-            means[-1] = (wp * means[-1] + wd * md) / (wp + wd)
-            weights[-1] = wp + wd
+    bounds, means, weights = [0], [], []
+    _absorb(bounds, means, weights, range(1, len(z) + 1), z, w)
     return bounds, means, weights
 
 
-def _fit_modified_lists(z: np.ndarray, wcum: list) -> tuple[list, list, list]:
+# Below this many indices, finding runs with numpy costs more than pushing
+# every index as its own run.
+_SHORT_SPAN = 16
+
+
+def _runs(z: np.ndarray, w: np.ndarray, lo: int, hi: int) -> tuple:
+    """Right edges (as boundary entries), values and weights of the runs of ``z[lo:hi]``.
+
+    A run is a maximal constant stretch of ``z``; its weight is summed from
+    ``w``, never differenced from cumulative weights, so a large weight to
+    its left cannot cancel it. Spans shorter than ``_SHORT_SPAN`` are split
+    into single indices instead.
+    """
+    seg = z[lo:hi]
+    if hi - lo < _SHORT_SPAN:
+        return range(lo + 1, hi + 1), seg.tolist(), w[lo:hi].tolist()
+    is_start = np.empty(seg.size, dtype=bool)
+    is_start[0] = True
+    np.not_equal(seg[1:], seg[:-1], out=is_start[1:])
+    starts = np.flatnonzero(is_start)
+    edges = (starts[1:] + lo).tolist()
+    edges.append(hi)
+    return edges, seg[starts].tolist(), np.add.reduceat(w[lo:hi], starts).tolist()
+
+
+def _absorb(bounds: list, means: list, weights: list, edges, values, run_weights) -> None:
+    """Extend a fit in lists, as :func:`_fit_standard_lists` returns it, by runs.
+
+    Run ``r`` ends at boundary ``edges[r]`` and enters as one block of mean
+    ``values[r]`` and weight ``run_weights[r]``. It then pools with its left
+    neighbour while that neighbour's mean is not larger, so equal
+    neighbouring means merge. The pooled mean stays finite whenever the
+    means it combines are.
+    """
+    for edge, mean, weight in zip(edges, values, run_weights):
+        while means and means[-1] <= mean:
+            mp = means.pop()
+            wp = weights.pop()
+            del bounds[-1]
+            total = wp + weight
+            diff = mean - mp
+            if diff - diff == 0.0:
+                mean = mp + diff * (weight / total)
+            else:  # the means have opposite signs and their difference overflowed
+                mean = mp * (wp / total) + mean * (weight / total)
+            weight = total
+        bounds.append(edge)
+        means.append(mean)
+        weights.append(weight)
+
+
+def _fit_modified_lists(z: np.ndarray, w: np.ndarray) -> tuple[list, list, list]:
     """Run-seeded pooling pass.
 
-    ``z`` is the numpy response vector (run detection is vectorized);
-    ``wcum`` is a list of cumulative weights with ``wcum[0] == 0``. Returns
-    the same lists as :func:`_fit_standard_lists`. Within a constant run no
-    pooling decision is ever needed, so each run enters as a single block.
+    ``z`` and ``w`` are the numpy response and weight vectors (run detection
+    is vectorized). Returns the same lists as :func:`_fit_standard_lists`.
+    Within a constant run no pooling decision is ever needed, so each run
+    enters as a single block.
     """
-    zl = z.tolist()
-    edges = (np.flatnonzero(z[1:] != z[:-1]) + 1).tolist()
-    edges.append(len(zl))
-    bounds = [0]
-    means = []
-    weights = []
-    prev = 0
-    for edge in edges:
-        bounds.append(edge)
-        means.append(zl[prev])
-        weights.append(wcum[edge] - wcum[prev])
-        prev = edge
-        while len(means) > 1 and means[-2] <= means[-1]:
-            md = means.pop()
-            wd = weights.pop()
-            del bounds[-2]
-            wp = weights[-1]
-            means[-1] = (wp * means[-1] + wd * md) / (wp + wd)
-            weights[-1] = wp + wd
+    bounds, means, weights = [0], [], []
+    _absorb(bounds, means, weights, *_runs(z, w, 0, z.size))
     return bounds, means, weights
 
 
@@ -262,8 +287,7 @@ def fit_modified(series: WeightedSeries) -> FittedBlocks:
     Inputs with long plateaus (step functions, indicator averages) fit in
     far fewer pooling steps; on run-free inputs the passes coincide.
     """
-    wcum = np.concatenate(([0.0], np.cumsum(series.w))).tolist()
-    bounds, means, weights = _fit_modified_lists(series.z, wcum)
+    bounds, means, weights = _fit_modified_lists(series.z, series.w)
     return _blocks_from_lists(bounds, means, weights)
 
 
@@ -287,20 +311,7 @@ def iter_prefix_fits(series: WeightedSeries) -> Iterator[FittedBlocks]:
     The last yielded value equals ``fit_standard(series)``. Useful for
     inspecting how the partition evolves while indices are absorbed.
     """
-    z = series.z.tolist()
-    w = series.w.tolist()
-    bounds = [0]
-    means = []
-    weights = []
-    for j in range(1, len(z) + 1):
-        bounds.append(j)
-        means.append(z[j - 1])
-        weights.append(w[j - 1])
-        while len(means) > 1 and means[-2] <= means[-1]:
-            md = means.pop()
-            wd = weights.pop()
-            del bounds[-2]
-            wp = weights[-1]
-            means[-1] = (wp * means[-1] + wd * md) / (wp + wd)
-            weights[-1] = wp + wd
+    bounds, means, weights = [0], [], []
+    for j, (mean, weight) in enumerate(zip(series.z.tolist(), series.w.tolist()), start=1):
+        _absorb(bounds, means, weights, (j,), (mean,), (weight,))
         yield _blocks_from_lists(bounds, means, weights)

@@ -4,9 +4,11 @@ Raising one response component can only coarsen the fitted partition to its
 left, and it leaves every block strictly to the right of the touched one
 unchanged. :func:`update_increase` exploits that: it shortens the touched
 block at the raised position, remeasures it, pools leftwards, re-absorbs the
-remainder of the touched block index by index, and splices the untouched
-right blocks back. The result is exactly the fit a batch solver computes on
-the modified vector, at a fraction of the work.
+remainder of the touched block by its constant runs, and splices the
+untouched right blocks back. Pushing and pooling go through the same
+run-seeded kernel as :func:`~seqpava.pava.fit_modified`. The result is
+exactly the fit a batch solver computes on the modified vector, at a
+fraction of the work.
 
 Decreases do not enjoy those guarantees; :func:`update_any` falls back to a
 full refit for them so the public surface stays total.
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pava import BlockPartition, FittedBlocks, WeightedSeries, expand, fit_modified
+from .pava import FittedBlocks, WeightedSeries, expand, fit_modified
+from .pava import _absorb, _blocks_from_lists, _runs
 
 __all__ = ["SequentialState", "init", "update_increase", "update_any"]
 
@@ -60,14 +63,17 @@ def init(series: WeightedSeries) -> SequentialState:
     return SequentialState(fit_modified(series), series.z.copy(), series.w.copy())
 
 
-def _abridged_update(bounds, means, weights, z, w, w_list, wcum, j0, value):
+def _abridged_update(bounds, means, weights, z, w, w_list, j0, value):
     """Apply the increase ``z[j0] <- value`` (1-based ``j0``) to a fit in lists.
 
     ``bounds``/``means``/``weights`` describe the current fit and are
     modified in place; ``z`` is the numpy response vector (modified), ``w``
-    its numpy weights, ``w_list`` the same weights as a list, and ``wcum`` a
-    list of cumulative weights with ``wcum[0] == 0``. ``value`` must exceed
-    ``z[j0 - 1]``; the caller is responsible for checking that.
+    its numpy weights and ``w_list`` the same weights as a list. ``value``
+    must exceed ``z[j0 - 1]``; the caller is responsible for checking that.
+
+    The touched block is cut at ``j0``; its remeasured head pools leftwards,
+    then the rest of the block is re-absorbed by its constant runs, so the
+    work is the reworked span counted in runs, not in indices.
     """
     s0 = bisect_left(bounds, j0)  # block s0 covers j0: bounds[s0-1] < j0 <= bounds[s0]
     a = bounds[s0 - 1]
@@ -82,38 +88,15 @@ def _abridged_update(bounds, means, weights, z, w, w_list, wcum, j0, value):
     del bounds[s0:]
     del means[s0 - 1 :]
     del weights[s0 - 1 :]
-    bounds.append(j0)
     if j0 - a == 1:
         head_mean = value
-        head_weight = w_list[j0 - 1]
+        head_weight = w_list[a]
     else:
-        head_weight = wcum[j0] - wcum[a]
+        head_weight = sum(w_list[a:j0])
         head_mean = float(np.dot(w[a:j0], z[a:j0])) / head_weight
-    means.append(head_mean)
-    weights.append(head_weight)
-    while len(means) > 1 and means[-2] <= means[-1]:
-        md = means.pop()
-        wd = weights.pop()
-        del bounds[-2]
-        wp = weights[-1]
-        means[-1] = (wp * means[-1] + wd * md) / (wp + wd)
-        weights[-1] = wp + wd
-
-    # re-absorb the remainder of the touched block index by index
+    _absorb(bounds, means, weights, (j0,), (head_mean,), (head_weight,))
     if j0 < b_end:
-        i = j0
-        for zi in z[j0:b_end].tolist():
-            i += 1
-            bounds.append(i)
-            means.append(zi)
-            weights.append(w_list[i - 1])
-            while len(means) > 1 and means[-2] <= means[-1]:
-                md = means.pop()
-                wd = weights.pop()
-                del bounds[-2]
-                wp = weights[-1]
-                means[-1] = (wp * means[-1] + wd * md) / (wp + wd)
-                weights[-1] = wp + wd
+        _absorb(bounds, means, weights, *_runs(z, w, j0, b_end))
 
     # blocks right of the touched one are unaffected; splice them back
     bounds.extend(tail_bounds)
@@ -140,16 +123,9 @@ def update_increase(state: SequentialState, j_o: int, new_value: float) -> Seque
     means = state.blocks.means.tolist()
     weights = state.blocks.weights.tolist()
     z = state.z.copy()
-    w = state.w
-    w_list = w.tolist()
-    wcum = np.concatenate(([0.0], np.cumsum(w))).tolist()
-    _abridged_update(bounds, means, weights, z, w, w_list, wcum, j_o, new_value)
+    _abridged_update(bounds, means, weights, z, state.w, state.w.tolist(), j_o, new_value)
 
-    blocks = FittedBlocks(
-        BlockPartition(np.array(bounds, dtype=np.int64)),
-        np.array(means),
-        np.array(weights),
-    )
+    blocks = _blocks_from_lists(bounds, means, weights)
     return SequentialState(blocks, z, state.w, provenance="abridged")
 
 

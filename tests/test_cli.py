@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from seqpava import fit_family, group
+from seqpava import cli
 from seqpava.cli import main
 
 from conftest import MIXED_Z
@@ -49,6 +50,20 @@ class TestFit:
         code, out, _ = run_cli(capsys, "fit", series, "--weights", weights)
         assert code == 0
         assert json.loads(out)["means"] == [0.75]
+
+    def test_huge_equal_values_stay_finite(self, capsys, tmp_path):
+        path = write(tmp_path / "huge.txt", "1e308\n1e308\n")
+        code, out, _ = run_cli(capsys, "fit", path)
+        assert code == 0
+        assert "Infinity" not in out
+        assert json.loads(out)["fit"] == [1e308, 1e308]
+
+    def test_non_finite_output_exits_1(self, capsys, monkeypatch, mixed_file):
+        monkeypatch.setattr(cli, "expand", lambda blocks: np.full(blocks.partition.m, np.inf))
+        code, out, err = run_cli(capsys, "fit", mixed_file)
+        assert code == 1
+        assert "Infinity" not in out
+        assert err.startswith("error:")
 
     def test_malformed_row_names_line(self, capsys, tmp_path):
         path = write(tmp_path / "bad.txt", "1.0\nabc\n2.0\n")

@@ -67,6 +67,14 @@ class TestFitFamily:
                 gap = np.max(np.abs(est.cdf - estimates[0].cdf))
                 assert gap <= 1e-12
 
+    def test_gamma_rows_never_fall_and_variants_bit_equal(self):
+        # at this seed incrementally pooled means once made a row fall by one ulp
+        obs = group(generate_dataset(ExperimentConfig(n=2000, replications=1, seed=3), 0))
+        estimates = [fit_family(obs, v) for v in VARIANTS]
+        estimates[0].validate()
+        for est in estimates[1:]:
+            assert_array_equal(est.cdf, estimates[0].cdf)
+
     def test_columns_pass_check_fit(self):
         cfg = ExperimentConfig(n=60, replications=1, seed=10)
         obs = group(generate_dataset(cfg, 0))

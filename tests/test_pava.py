@@ -49,6 +49,10 @@ class TestWeightedSeries:
         with pytest.raises(ValueError):
             WeightedSeries(z, w)
 
+    def test_rejects_weights_with_overflowing_total(self):
+        with pytest.raises(ValueError, match="finite total"):
+            WeightedSeries([1.0, 2.0], [1e308, 1e308])
+
     def test_single_element_accepted(self):
         blocks = fit_standard(WeightedSeries([5.0], [7.0]))
         assert_array_equal(blocks.partition.boundaries, [0, 1])
@@ -88,6 +92,13 @@ class TestBlockTypes:
         with pytest.raises(ValueError):
             FittedBlocks(BlockPartition([0, 1, 2]), [1.0, 1.0], [1.0, 1.0])
 
+    @pytest.mark.parametrize(
+        "means, weights", [([np.inf], [1.0]), ([np.nan], [1.0]), ([1.0], [np.inf])]
+    )
+    def test_blocks_reject_non_finite_values(self, means, weights):
+        with pytest.raises(ValueError, match="finite"):
+            FittedBlocks(BlockPartition([0, 2]), means, weights)
+
     def test_blocks_reject_length_mismatch(self):
         with pytest.raises(ValueError):
             FittedBlocks(BlockPartition([0, 1, 2]), [1.0], [1.0, 1.0])
@@ -118,6 +129,14 @@ class TestFitStandard:
         assert_array_equal(blocks.partition.boundaries, [0, 2])
         assert_allclose(blocks.means, [0.75], rtol=0, atol=1e-12)
 
+    def test_huge_equal_values_pool_without_overflow(self):
+        for z, mean in (([1e308, 1e308], 1e308), ([-1e308, 1e308], 0.0)):
+            series = WeightedSeries(z)
+            last_prefix = list(iter_prefix_fits(series))[-1]
+            for blocks in (fit_standard(series), fit_modified(series), last_prefix):
+                assert_array_equal(blocks.partition.boundaries, [0, 2])
+                assert_array_equal(blocks.means, [mean])
+
     def test_prefix_trace(self, mixed_series):
         snapshots = list(iter_prefix_fits(mixed_series))
         assert len(snapshots) == 9
@@ -128,6 +147,14 @@ class TestFitStandard:
 
 
 class TestFitModified:
+    def test_run_weight_after_large_weight_is_not_cancelled(self):
+        # 1e20 + 2 == 1e20 in float64, so a difference of cumulative weights would give 0
+        for m in (3, 20):
+            series = WeightedSeries([1.0] + [0.0] * (m - 1), [1e20] + [1.0] * (m - 1))
+            blocks = fit_modified(series)
+            assert_array_equal(blocks.partition.boundaries, [0, 1, m])
+            assert_array_equal(blocks.weights, [1e20, m - 1])
+
     def test_two_constant_runs(self):
         blocks = fit_modified(WeightedSeries([1.0, 1.0, 1.0, 0.0, 0.0]))
         assert_array_equal(blocks.partition.boundaries, [0, 3, 5])

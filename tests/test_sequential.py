@@ -45,6 +45,23 @@ class TestUpdateIncrease:
         assert_array_equal(state.blocks.partition.boundaries, [0, 2])
         assert_allclose(state.fit(), minmax_fit(WeightedSeries([1.0, 1.0])), rtol=0, atol=1e-12)
 
+    def test_weights_after_large_weight_are_not_cancelled(self):
+        # 1e20 + 1 == 1e20 in float64, so differences of cumulative weights would give 0;
+        # a remainder of 2 indices is pushed index by index, one of 19 by runs
+        for m in (3, 20):
+            series = WeightedSeries(np.zeros(m), [1e20] + [1.0] * (m - 1))
+            state = update_increase(init(series), 1, 2.0)
+            assert_array_equal(state.blocks.partition.boundaries, [0, 1, m])
+            assert_array_equal(state.blocks.means, [2.0, 0.0])
+            assert_array_equal(state.blocks.weights, [1e20, m - 1])
+
+    def test_head_weight_after_large_weight_is_not_cancelled(self):
+        series = WeightedSeries([1.0, 0.0, 0.0, 0.0], [1e20, 1.0, 1.0, 1.0])
+        state = update_increase(init(series), 4, 0.5)
+        assert_array_equal(state.blocks.partition.boundaries, [0, 1, 4])
+        assert_array_equal(state.blocks.weights, [1e20, 3.0])
+        assert_allclose(state.blocks.means, [1.0, 1 / 6], rtol=1e-15)
+
     def test_leaves_input_state_untouched(self):
         before = init(WeightedSeries(MIXED_Z))
         update_increase(before, 5, 1.0)

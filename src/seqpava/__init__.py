@@ -5,6 +5,7 @@ from .bench import ExperimentConfig, TimingReport, generate_dataset, run_benchma
 from .idr import DistributionFamilyEstimate, ObservationSet, fit_family, group
 from .oracle import FitCheck, check_fit, minmax_fit
 from .pava import (
+    BlockFit,
     BlockPartition,
     FittedBlocks,
     WeightedSeries,
@@ -20,6 +21,7 @@ from .sequential import SequentialState, update_any, update_increase
 __version__ = "0.1.0"
 
 __all__ = [
+    "BlockFit",
     "BlockPartition",
     "DistributionFamilyEstimate",
     "ExperimentConfig",

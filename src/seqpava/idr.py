@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pava import _fit_modified_lists, _fit_standard_lists
-from .sequential import _abridged_update
+from .pava import BlockFit, WeightedSeries
 
 __all__ = ["VARIANTS", "ObservationSet", "DistributionFamilyEstimate", "group", "fit_family"]
 
@@ -170,7 +169,6 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
     n = obs.n
     w = obs.weights
     w_list = w.tolist()
-    unit_weights = bool((w == 1.0).all())
 
     order = np.lexsort((obs.group_index, obs.y))
     groups = obs.group_index[order].tolist()
@@ -182,34 +180,29 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
     thresholds = y_sorted[record].copy()
     record = record.tolist()
 
-    z = np.zeros(m)
-    z_list = [0.0] * m
+    fit = BlockFit(WeightedSeries(np.zeros(m), w))
+    z = fit.z
+    if variant == "abridged":
+        update = fit.set
+    else:
+        by_runs = variant == "modified"
+
+        def update(j, value):
+            z[j - 1] = value
+            fit.refit(by_runs)
+
     counts = [0] * m
     table = np.empty((thresholds.size, m))
 
-    if variant == "abridged":
-        bounds, means, weights = _fit_modified_lists(z, w)
     row = 0
-    for t in range(n):
-        j = groups[t]
+    for j, recorded in zip(groups, record):
         counts[j] += 1
-        value = counts[j] / w_list[j]
-        if unit_weights:
-            assert value == 1.0  # each group is hit once, the vector stays {0,1}-valued
-        if variant == "abridged":
-            _abridged_update(bounds, means, weights, z, w, w_list, j + 1, value)
-        else:
-            z[j] = value
-            z_list[j] = value
-            if variant == "standard":
-                bounds = _fit_standard_lists(z_list, w_list)[0]
-            else:
-                bounds = _fit_modified_lists(z, w)[0]
-        if record[t]:
+        update(j + 1, counts[j] / w_list[j])
+        if recorded:
             # One division of exact integer sums (rounding z * w recovers the
             # counts) makes each block mean correctly rounded whatever the
             # pooling order, so rows cannot fall by an ulp.
-            b = np.array(bounds)
+            b = np.array(fit.bounds)
             lo = b[:-1]
             block_means = np.add.reduceat(np.rint(z * w), lo) / np.add.reduceat(w, lo)
             table[row] = np.repeat(block_means, b[1:] - lo)

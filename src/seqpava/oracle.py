@@ -20,40 +20,9 @@ import numpy as np
 
 from .pava import WeightedSeries
 
-__all__ = ["IntervalSetSystem", "FitCheck", "minmax_fit", "check_fit"]
+__all__ = ["FitCheck", "minmax_fit", "check_fit"]
 
 _TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class IntervalSetSystem:
-    """Upper and lower sets of the totally ordered index range 1..m.
-
-    A set is an upper set when it is closed upwards (containing i forces
-    every j >= i in), and a lower set when it is closed downwards. Under a
-    total order the upper sets containing j are exactly the suffixes
-    ``{a..m}`` with ``a <= j``, and the lower sets containing j are exactly
-    the prefixes ``{1..b}`` with ``b >= j``; the enumeration below relies
-    on that.
-    """
-
-    m: int
-
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("need at least one index")
-
-    def upper_starts(self, j: int) -> range:
-        """Starts a of the upper sets {a..m} that contain j."""
-        if not 1 <= j <= self.m:
-            raise IndexError(f"index must be in 1..{self.m}, got {j}")
-        return range(1, j + 1)
-
-    def lower_ends(self, j: int) -> range:
-        """Ends b of the lower sets {1..b} that contain j."""
-        if not 1 <= j <= self.m:
-            raise IndexError(f"index must be in 1..{self.m}, got {j}")
-        return range(j, self.m + 1)
 
 
 @dataclass(frozen=True)
@@ -84,7 +53,6 @@ def minmax_fit(series: WeightedSeries) -> np.ndarray:
     enumeration itself is broken, so it raises instead of returning.
     """
     m = series.m
-    sets = IntervalSetSystem(m)
     sw, swz = _prefix_sums(series)
 
     def mean(a: int, b: int) -> float:
@@ -92,8 +60,9 @@ def minmax_fit(series: WeightedSeries) -> np.ndarray:
 
     fit = np.empty(m)
     for j in range(1, m + 1):
-        lo = min(max(mean(a, b) for b in sets.lower_ends(j)) for a in sets.upper_starts(j))
-        hi = max(min(mean(a, b) for a in sets.upper_starts(j)) for b in sets.lower_ends(j))
+        starts, ends = range(1, j + 1), range(j, m + 1)
+        lo = min(max(mean(a, b) for b in ends) for a in starts)
+        hi = max(min(mean(a, b) for a in starts) for b in ends)
         if abs(lo - hi) > _TOL:
             raise RuntimeError(
                 f"min-max and max-min forms disagree at position {j}: {lo} vs {hi}"

@@ -7,15 +7,17 @@ Two batch solvers produce that representation: :func:`fit_standard` absorbs
 one index at a time and pools backwards whenever adjacent block means stop
 decreasing, while :func:`fit_modified` seeds each new block with a maximal
 constant run of the response vector, which pays off on inputs with long
-plateaus. Both compute the same fit.
+plateaus. Both compute the same fit, through :class:`BlockFit`, which also
+updates a fit in place when one response value changes.
 
 Public index arguments are 1-based; block ``s`` of a partition covers
 positions ``b[s-1]+1 .. b[s]`` of the boundary vector ``b`` with ``b[0] == 0``.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import isclose
+from math import isclose, isfinite
 from typing import Iterator
 
 import numpy as np
@@ -24,6 +26,7 @@ __all__ = [
     "WeightedSeries",
     "BlockPartition",
     "FittedBlocks",
+    "BlockFit",
     "weighted_mean",
     "fit_standard",
     "fit_modified",
@@ -132,8 +135,9 @@ class BlockPartition:
 class FittedBlocks:
     """A non-increasing fit in block form: partition, block means, block weights.
 
-    Block means decrease strictly; neighbouring blocks with equal means are
-    always pooled by the solvers, so a valid fit never contains them.
+    Block means decrease strictly. The solvers pool neighbouring blocks whose
+    computed means are equal; rounding can still keep apart two blocks whose
+    true means are equal, as long as the stored means decrease.
     """
 
     partition: BlockPartition
@@ -186,26 +190,6 @@ class FittedBlocks:
                 )
 
 
-def _blocks_from_lists(bounds: list, means: list, weights: list) -> FittedBlocks:
-    return FittedBlocks(
-        BlockPartition(np.array(bounds, dtype=np.int64)),
-        np.array(means),
-        np.array(weights),
-    )
-
-
-def _fit_standard_lists(z: list, w: list) -> tuple[list, list, list]:
-    """One-index-at-a-time pooling pass over plain Python lists.
-
-    Returns (bounds, means, weights) lists; block s covers 1-based positions
-    bounds[s-1]+1 .. bounds[s] and has mean means[s-1]. Every index enters
-    :func:`_absorb` as a run of its own.
-    """
-    bounds, means, weights = [0], [], []
-    _absorb(bounds, means, weights, range(1, len(z) + 1), z, w)
-    return bounds, means, weights
-
-
 # Below this many indices, finding runs with numpy costs more than pushing
 # every index as its own run.
 _SHORT_SPAN = 16
@@ -232,7 +216,7 @@ def _runs(z: np.ndarray, w: np.ndarray, lo: int, hi: int) -> tuple:
 
 
 def _absorb(bounds: list, means: list, weights: list, edges, values, run_weights) -> None:
-    """Extend a fit in lists, as :func:`_fit_standard_lists` returns it, by runs.
+    """Extend a fit held in :class:`BlockFit`'s lists by runs.
 
     Run ``r`` ends at boundary ``edges[r]`` and enters as one block of mean
     ``values[r]`` and weight ``run_weights[r]``. It then pools with its left
@@ -257,17 +241,125 @@ def _absorb(bounds: list, means: list, weights: list, edges, values, run_weights
         weights.append(weight)
 
 
-def _fit_modified_lists(z: np.ndarray, w: np.ndarray) -> tuple[list, list, list]:
-    """Run-seeded pooling pass.
+class BlockFit:
+    """The fit of a response vector that it owns, kept in lists and updated in place.
 
-    ``z`` and ``w`` are the numpy response and weight vectors (run detection
-    is vectorized). Returns the same lists as :func:`_fit_standard_lists`.
-    Within a constant run no pooling decision is ever needed, so each run
-    enters as a single block.
+    Built from a validated :class:`WeightedSeries`: ``z`` is the engine's own
+    copy of its responses and ``w`` its weights. :meth:`set` edits ``z``;
+    after editing it directly, call :meth:`refit`. Block ``s`` covers 1-based
+    positions ``bounds[s-1]+1 .. bounds[s]`` and has mean ``means[s-1]`` and
+    weight ``weights[s-1]``. The fit is computed by constant runs
+    (``by_runs``) or index by index. Every pass and every update pushes
+    blocks through the one pooling kernel.
     """
-    bounds, means, weights = [0], [], []
-    _absorb(bounds, means, weights, *_runs(z, w, 0, z.size))
-    return bounds, means, weights
+
+    def __init__(self, series: WeightedSeries, *, by_runs: bool = True):
+        if not isinstance(series, WeightedSeries):
+            raise TypeError(f"BlockFit takes a WeightedSeries, got {type(series).__name__}")
+        self.z = series.z.copy()
+        self.w = series.w
+        # element access through these views yields Python floats, far faster
+        # than indexing the arrays, without copying them into lists
+        self._z = memoryview(self.z)
+        self._w = memoryview(self.w)
+        self.refit(by_runs)
+
+    def refit(self, by_runs: bool = True) -> None:
+        """Fit ``z`` from scratch, for instance after editing it in place.
+
+        By runs, each maximal constant run enters as one block, since no
+        pooling decision is needed inside it; otherwise every index enters
+        on its own.
+        """
+        self.bounds, self.means, self.weights = [0], [], []
+        if by_runs:
+            runs = _runs(self.z, self.w, 0, self.z.size)
+        else:
+            runs = range(1, self.z.size + 1), self._z, self._w
+        _absorb(self.bounds, self.means, self.weights, *runs)
+
+    def copy(self) -> BlockFit:
+        """An engine of its own with the same fit, its own ``z`` and the same ``w``."""
+        other = object.__new__(BlockFit)
+        other.__dict__.update(self.__dict__)
+        other.z = self.z.copy()
+        other._z = memoryview(other.z)
+        other.bounds, other.means, other.weights = self.bounds[:], self.means[:], self.weights[:]
+        return other
+
+    def set(self, j: int, value: float) -> None:
+        """Set ``z`` at 1-based position ``j`` to ``value`` and update the fit.
+
+        Only the touched block ``a+1..b`` and whatever pools with it are
+        reworked. Raising ``z[j]`` leaves every block right of the touched
+        one in place and keeps the head ``a+1..j`` pooled. Reversing the
+        index order and negating the values maps non-increasing fits to
+        non-increasing fits, so lowering it mirrors that: blocks left of the
+        touched one stay and the tail ``j..b`` stays pooled. The block is cut
+        at ``j`` and pushed back, the part that stays pooled as one unit and
+        the rest by its constant runs. Old right blocks are then re-pushed
+        while they no longer lie strictly below the last block, and the rest
+        are spliced back. Pre-pooling a stretch that lies inside one level
+        set of the new fit cannot change it, so the result is exact. A ``j``
+        outside 1..m or a non-finite ``value`` raises before anything changes.
+        """
+        if j < 1:  # a j beyond m fails at bounds[s] below, before anything changes
+            raise IndexError(f"position must be at least 1, got {j}")
+        if not isfinite(value):
+            raise ValueError(f"new value must be finite, got {value}")
+        zv, wv = self._z, self._w
+        bounds, means, weights = self.bounds, self.means, self.weights
+        s = bisect_left(bounds, j)  # block s covers j: bounds[s-1] < j <= bounds[s]
+        b = bounds[s]
+        a = bounds[s - 1]
+        # z[lo:hi] is the part of the block that stays pooled
+        if value > zv[j - 1]:
+            lo, hi = a, j
+        else:
+            lo, hi = j - 1, b
+        zv[j - 1] = value
+        right_bounds = bounds[s + 1 :]
+        right_means = means[s:]
+        right_weights = weights[s:]
+        del bounds[s:]
+        del means[s - 1 :]
+        del weights[s - 1 :]
+        if lo > a:
+            _absorb(bounds, means, weights, *_runs(self.z, self.w, a, lo))
+        if hi - lo == 1:
+            mean, weight = value, wv[lo]
+        else:
+            weight = sum(wv[lo:hi])
+            # vdot, unlike dot, lets an overflow through without a warning
+            mean = float(np.vdot(self.w[lo:hi], self.z[lo:hi])) / weight
+            if mean - mean != 0.0:  # the weighted sum overflowed; scale the weights first
+                mean = float(np.vdot(self.w[lo:hi] / weight, self.z[lo:hi]))
+        _absorb(bounds, means, weights, (hi,), (mean,), (weight,))
+        if hi < b:
+            _absorb(bounds, means, weights, *_runs(self.z, self.w, hi, b))
+        # Re-push old right blocks that no longer lie strictly below the last
+        # block: after a decrease this pools rightwards, after an increase only
+        # rounding can get past the first comparison.
+        if right_means and means[-1] <= right_means[0]:
+            k = 0
+            while k < len(right_means) and means[-1] <= right_means[k]:
+                edge, mean, weight = right_bounds[k], right_means[k], right_weights[k]
+                _absorb(bounds, means, weights, (edge,), (mean,), (weight,))
+                k += 1
+            del right_bounds[:k]
+            del right_means[:k]
+            del right_weights[:k]
+        bounds.extend(right_bounds)
+        means.extend(right_means)
+        weights.extend(right_weights)
+
+    def snapshot(self) -> FittedBlocks:
+        """The current fit as an immutable :class:`FittedBlocks`."""
+        return FittedBlocks(
+            BlockPartition(np.array(self.bounds, dtype=np.int64)),
+            np.array(self.means),
+            np.array(self.weights),
+        )
 
 
 def fit_standard(series: WeightedSeries) -> FittedBlocks:
@@ -277,8 +369,7 @@ def fit_standard(series: WeightedSeries) -> FittedBlocks:
     form; each new index starts as its own block, then the last two blocks
     pool while their means are non-decreasing.
     """
-    bounds, means, weights = _fit_standard_lists(series.z.tolist(), series.w.tolist())
-    return _blocks_from_lists(bounds, means, weights)
+    return BlockFit(series, by_runs=False).snapshot()
 
 
 def fit_modified(series: WeightedSeries) -> FittedBlocks:
@@ -287,8 +378,7 @@ def fit_modified(series: WeightedSeries) -> FittedBlocks:
     Inputs with long plateaus (step functions, indicator averages) fit in
     far fewer pooling steps; on run-free inputs the passes coincide.
     """
-    bounds, means, weights = _fit_modified_lists(series.z, series.w)
-    return _blocks_from_lists(bounds, means, weights)
+    return BlockFit(series).snapshot()
 
 
 def expand(blocks: FittedBlocks) -> np.ndarray:
@@ -311,7 +401,10 @@ def iter_prefix_fits(series: WeightedSeries) -> Iterator[FittedBlocks]:
     The last yielded value equals ``fit_standard(series)``. Useful for
     inspecting how the partition evolves while indices are absorbed.
     """
-    bounds, means, weights = [0], [], []
-    for j, (mean, weight) in enumerate(zip(series.z.tolist(), series.w.tolist()), start=1):
-        _absorb(bounds, means, weights, (j,), (mean,), (weight,))
-        yield _blocks_from_lists(bounds, means, weights)
+    # the engine starts on index 1; its lists then grow to cover 1..j
+    prefix = BlockFit(WeightedSeries(series.z[:1], series.w[:1]))
+    yield prefix.snapshot()
+    rest = zip(series.z[1:].tolist(), series.w[1:].tolist())
+    for j, (mean, weight) in enumerate(rest, start=2):
+        _absorb(prefix.bounds, prefix.means, prefix.weights, (j,), (mean,), (weight,))
+        yield prefix.snapshot()

@@ -129,6 +129,36 @@ class TestFit:
         assert_allclose(json.loads(out_a)["fit"], json.loads(out_b)["fit"], rtol=0, atol=1e-12)
 
 
+    def test_abridged_increase_next_to_rounded_mean(self, capsys, tmp_path):
+        # the initial fit keeps block 4..17 (mean 8.9e-17, true mean 0) apart
+        # from block 18..20 (mean 0.0); raising position 8 must pool them
+        base = [1, 3, 1, 0, -2, 1, 1, 0, -3, -2, -2, 3, 3, -3, 0, 1, 3, -3, 3, 0]
+        final = list(base)
+        final[7] = 2
+        base_path = write(tmp_path / "s.txt", "\n".join(map(str, base)) + "\n")
+        final_path = write(tmp_path / "f.txt", "\n".join(map(str, final)) + "\n")
+        changes_path = write(tmp_path / "c.csv", "8,2\n")
+        code_a, out_a, err_a = run_cli(
+            capsys, "fit", base_path, "--variant", "abridged", "--changes", changes_path
+        )
+        code_b, out_b, _ = run_cli(capsys, "fit", final_path, "--variant", "standard")
+        assert code_a == 0, err_a
+        assert code_b == 0
+        assert out_a == out_b
+        assert json.loads(out_a)["boundaries"] == [0, 2, 3, 8, 20]
+
+    def test_abridged_decrease_of_huge_values_stays_finite(self, capsys, tmp_path):
+        # lowering position 1 keeps 1..3 pooled; its weighted sum overflows
+        base_path = write(tmp_path / "s.txt", "1e308\n1e308\n1e308\n")
+        changes_path = write(tmp_path / "c.csv", "1,0\n")
+        code, out, err = run_cli(
+            capsys, "fit", base_path, "--variant", "abridged", "--changes", changes_path
+        )
+        assert code == 0, err
+        assert "Infinity" not in out
+        assert_allclose(json.loads(out)["fit"], [1e308 / 3 * 2] * 3, rtol=1e-15)
+
+
 class TestIdr:
     def observations(self, tmp_path, rows):
         return write(tmp_path / "obs.csv", "x,y\n" + "\n".join(f"{x},{y}" for x, y in rows) + "\n")

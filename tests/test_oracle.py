@@ -5,42 +5,8 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from seqpava import WeightedSeries, check_fit, expand, fit_standard, minmax_fit
-from seqpava.oracle import IntervalSetSystem
 
 from conftest import MIXED_FIT, MIXED_Z, random_integer_series
-
-
-class TestIntervalSetSystem:
-    def test_enumerations_match_subset_definitions(self):
-        # brute force over every subset of 1..m: upper sets are those closed
-        # upwards, lower sets those closed downwards; both must reduce to the
-        # suffixes and prefixes the system enumerates
-        for m in range(1, 6):
-            sets = IntervalSetSystem(m)
-            indices = list(range(1, m + 1))
-            uppers, lowers = [], []
-            for r in range(m + 1):
-                for combo in itertools.combinations(indices, r):
-                    chosen = set(combo)
-                    if chosen and all(j in chosen for i in chosen for j in indices if j >= i):
-                        uppers.append(chosen)
-                    if chosen and all(i in chosen for j in chosen for i in indices if i <= j):
-                        lowers.append(chosen)
-            for j in indices:
-                want_upper = [u for u in uppers if j in u]
-                got_upper = [set(range(a, m + 1)) for a in sets.upper_starts(j)]
-                assert sorted(map(sorted, want_upper)) == sorted(map(sorted, got_upper))
-                want_lower = [l for l in lowers if j in l]
-                got_lower = [set(range(1, b + 1)) for b in sets.lower_ends(j)]
-                assert sorted(map(sorted, want_lower)) == sorted(map(sorted, got_lower))
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            IntervalSetSystem(0)
-        with pytest.raises(IndexError):
-            IntervalSetSystem(3).upper_starts(4)
-        with pytest.raises(IndexError):
-            IntervalSetSystem(3).lower_ends(0)
 
 
 class TestMinmaxFit:

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import isotonic_regression
 
 from seqpava import WeightedSeries, expand, fit_family, group
-from seqpava.sequential import init, update_increase
+from seqpava.sequential import init, update_any, update_increase
 
 
 def scipy_fit(z, w):
@@ -71,3 +71,32 @@ def test_update_increase_matches_scipy(fractional, length, remainder):
     assert_array_equal(new_bounds[new_right], bounds[old_right])
     assert_array_equal(new.blocks.means[new_right[1:]], state.blocks.means[old_right[1:]])
     assert_array_equal(new.blocks.weights[new_right[1:]], state.blocks.weights[old_right[1:]])
+
+
+@pytest.mark.parametrize("fractional", [False, True])
+@pytest.mark.parametrize("length, head", [(60, 15), (60, 16), (60, 17), (66_000, 40_000)])
+@pytest.mark.parametrize("pool_right", [False, True])
+def test_update_decrease_matches_scipy(fractional, length, head, pool_right):
+    # the mirror of the increase: a+1..j0-1 (``head`` indices) goes back in by
+    # runs, the tail j0..b as one unit, which pools rightwards when the new
+    # value is low enough
+    series, b_end = touched_block_series(fractional, length)
+    state = init(series)
+    bounds = state.blocks.partition.boundaries
+    assert b_end in bounds and 5 in bounds and bounds.size >= 5
+    assert not ((bounds > 5) & (bounds < b_end)).any()
+    j0 = 5 + head + 1
+    value = -8.0 * (b_end - j0 + 1) if pool_right else -1.5
+    assert state.z[j0 - 1] > value
+    new = update_any(state, j0, value)
+
+    assert_allclose(new.fit(), scipy_fit(new.z, new.w), rtol=0, atol=1e-12)
+    # everything left of the touched block is reused bit for bit
+    assert_array_equal(new.fit()[:5], expand(state.blocks)[:5])
+    old_left = bounds <= 5
+    new_bounds = new.blocks.partition.boundaries
+    new_left = new_bounds <= 5
+    assert_array_equal(new_bounds[new_left], bounds[old_left])
+    assert_array_equal(new.blocks.means[new_left[1:]], state.blocks.means[old_left[1:]])
+    assert_array_equal(new.blocks.weights[new_left[1:]], state.blocks.weights[old_left[1:]])
+    assert (b_end in new_bounds) != pool_right

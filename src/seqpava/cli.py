@@ -24,12 +24,43 @@ class InputFormatError(Exception):
     """Malformed input file; the message names the offending line."""
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _scan(path: str) -> list[tuple[int, str]]:
+    """The line number and stripped text of each non-blank line of ``path``."""
+    with open(path) as fh:
+        return [(lineno, text) for lineno, text in enumerate(map(str.strip, fh), 1) if text]
 
 
-def _write_text(path: str | None, text: str) -> None:
-    if path in (None, "-"):
+def _parse(path: str, lines: list[tuple[int, str]], width: int) -> np.ndarray:
+    """The real numbers of ``lines``, ``width`` comma-separated ones each, as rows.
+
+    All lines are converted in one pass; only if that fails are they
+    rescanned one by one, to name the first bad line.
+    """
+    texts = [text for _, text in lines]
+    if all(text.count(",") == width - 1 for text in texts):
+        fields = ",".join(texts).split(",")
+        try:
+            return np.fromiter(map(float, fields), float, len(fields)).reshape(-1, width)
+        except ValueError:
+            pass
+    for lineno, text in lines:
+        try:
+            row = [float(field) for field in text.split(",")]
+        except ValueError as exc:
+            raise InputFormatError(f"{path}: line {lineno}: {exc}") from None
+        if len(row) != width:
+            raise InputFormatError(f"{path}: line {lineno}: {len(row)} fields, expected {width}")
+    return np.empty((0, width))  # reached only when there are no lines
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """Write ``header``, then each row of reals with 17 significant digits, to ``path`` or stdout.
+
+    The header names the columns, so it fixes how many reals a row holds.
+    """
+    template = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
+    text = header + "\n" + "".join([template % tuple(row) for row in rows])
+    if path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
@@ -37,108 +68,49 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _read_series(path: str) -> np.ndarray:
-    """Read one real number per line; blank lines are ignored."""
-    values = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: not a real number: {text!r}"
-                ) from None
-    if not values:
+    """Read one real number per line."""
+    lines = _scan(path)
+    if not lines:
         raise InputFormatError(f"{path}: no values found")
-    return np.array(values)
+    return _parse(path, lines, 1).ravel()
 
 
 def _read_observations(path: str) -> np.ndarray:
     """Read a CSV of observations with header ``x,y``."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    content = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
-    if not content:
-        raise InputFormatError(f"{path}: no observations found")
-    first_no, first = content[0]
-    if first.replace(" ", "").lower() != "x,y":
-        raise InputFormatError(f"{path}: line {first_no}: expected header 'x,y', got {first!r}")
-    rows = []
-    for lineno, line in content[1:]:
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise InputFormatError(f"{path}: line {lineno}: expected two comma-separated fields")
-        try:
-            rows.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            raise InputFormatError(
-                f"{path}: line {lineno}: not a pair of real numbers: {line!r}"
-            ) from None
-    if not rows:
-        raise InputFormatError(f"{path}: no data rows after the header")
-    return np.array(rows)
+    lines = _scan(path)
+    if len(lines) < 2:
+        raise InputFormatError(f"{path}: expected a header 'x,y' and at least one row")
+    lineno, header = lines[0]
+    if header.replace(" ", "").lower() != "x,y":
+        raise InputFormatError(f"{path}: line {lineno}: expected header 'x,y', got {header!r}")
+    return _parse(path, lines[1:], 2)
 
 
 def _read_changes(path: str) -> list[tuple[int, float]]:
-    """Read ``index,value`` updates, one per line, 1-based indices."""
-    changes = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.strip()
-            if not text:
-                continue
-            parts = text.split(",")
-            if len(parts) != 2:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: expected 'index,value', got {text!r}"
-                )
-            try:
-                changes.append((int(parts[0]), float(parts[1])))
-            except ValueError:
-                raise InputFormatError(
-                    f"{path}: line {lineno}: expected 'index,value', got {text!r}"
-                ) from None
-    return changes
+    """Read ``index,value`` updates, one per line, with integer 1-based indices; may be empty."""
+    lines = _scan(path)
+    indices = []
+    for lineno, text in lines:
+        try:
+            indices.append(int(text.partition(",")[0]))
+        except ValueError:
+            _parse(path, lines[: len(indices)], 2)  # a malformed earlier line is reported first
+            raise InputFormatError(f"{path}: line {lineno}: not an integer index") from None
+    return list(zip(indices, _parse(path, lines, 2)[:, 1].tolist()))
 
 
 def _read_estimate(path: str) -> DistributionFamilyEstimate:
     """Read an estimate CSV written by the ``idr`` command."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    content = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
-    if not content:
-        raise InputFormatError(f"{path}: empty estimate file")
-    first_no, header = content[0]
-    fields = header.split(",")
-    if fields[0].strip().lower() != "y" or len(fields) < 2:
-        raise InputFormatError(
-            f"{path}: line {first_no}: expected header 'y,<covariate>,...', got {header!r}"
-        )
-    try:
-        covariates = [float(c) for c in fields[1:]]
-    except ValueError:
-        raise InputFormatError(f"{path}: line {first_no}: covariate labels must be real") from None
-    thresholds = []
-    matrix = []
-    for lineno, line in content[1:]:
-        parts = line.split(",")
-        if len(parts) != len(fields):
-            raise InputFormatError(
-                f"{path}: line {lineno}: expected {len(fields)} fields, got {len(parts)}"
-            )
-        try:
-            values = [float(p) for p in parts]
-        except ValueError:
-            raise InputFormatError(f"{path}: line {lineno}: not a row of real numbers") from None
-        thresholds.append(values[0])
-        matrix.append(values[1:])
-    if not matrix:
-        raise InputFormatError(f"{path}: no data rows after the header")
-    estimate = DistributionFamilyEstimate(
-        np.array(covariates), np.array(thresholds), np.array(matrix).T
-    )
+    lines = _scan(path)
+    if len(lines) < 2:
+        raise InputFormatError(f"{path}: expected a header 'y,<covariates>' and at least one row")
+    lineno, header = lines[0]
+    label, _, labels = header.partition(",")
+    if label.strip().lower() != "y" or not labels:
+        raise InputFormatError(f"{path}: line {lineno}: expected a header starting with 'y,'")
+    covariates = _parse(path, [(lineno, labels)], labels.count(",") + 1)[0]
+    rows = _parse(path, lines[1:], covariates.size + 1)
+    estimate = DistributionFamilyEstimate(covariates, rows[:, 0], rows[:, 1:].T)
     estimate.validate()
     return estimate
 
@@ -202,12 +174,10 @@ def cmd_idr(args) -> int:
     pairs = _read_observations(args.input)
     estimate = fit_family(group(pairs), args.variant)
     estimate.validate()
-    lines = ["y," + ",".join(_fmt(c) for c in estimate.covariates)]
-    for t in range(estimate.k):
-        lines.append(
-            _fmt(estimate.thresholds[t]) + "," + ",".join(_fmt(v) for v in estimate.cdf[:, t])
-        )
-    _write_text(args.output, "\n".join(lines) + "\n")
+    header = ",".join(["y", *("%.17g" % x for x in estimate.covariates.tolist())])
+    # cdf.T holds one contiguous row per threshold, as fit_family filled it
+    rows = ((t, *row.tolist()) for t, row in zip(estimate.thresholds.tolist(), estimate.cdf.T))
+    _write_csv(args.output, header, rows)
     return 0
 
 
@@ -215,21 +185,19 @@ def cmd_quantiles(args) -> int:
     estimate = _read_estimate(args.input)
     betas = _parse_betas(args.betas)
     # header labels use the shortest round-trip form; data cells stay at 17 digits
-    lines = ["x," + ",".join(repr(b) for b in betas)]
-    for j in range(1, estimate.m + 1):
-        quantiles = [estimate.quantile(j, beta) for beta in betas]
-        lines.append(
-            _fmt(estimate.covariates[j - 1]) + "," + ",".join(_fmt(q) for q in quantiles)
-        )
-    _write_text(args.output, "\n".join(lines) + "\n")
+    header = ",".join(["x", *map(repr, betas)])
+    rows = [
+        (x, *(estimate.quantile(j, beta) for beta in betas))
+        for j, x in enumerate(estimate.covariates.tolist(), 1)
+    ]
+    _write_csv(args.output, header, rows)
     return 0
 
 
 def cmd_gen(args) -> int:
     config = ExperimentConfig(n=args.n, replications=1, seed=args.seed)
     pairs = generate_dataset(config, 0)
-    lines = ["x,y"] + [f"{_fmt(x)},{_fmt(y)}" for x, y in pairs]
-    _write_text(args.output, "\n".join(lines) + "\n")
+    _write_csv(args.output, "x,y", pairs.tolist())
     return 0
 
 

@@ -208,6 +208,4 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
             table[row] = np.repeat(block_means, b[1:] - lo)
             row += 1
 
-    return DistributionFamilyEstimate(
-        obs.covariates.copy(), thresholds, np.ascontiguousarray(table.T)
-    )
+    return DistributionFamilyEstimate(obs.covariates.copy(), thresholds, table.T)

@@ -84,12 +84,25 @@ class WeightedSeries:
         return self.z.size
 
 
+def _stretch(z: np.ndarray, w: np.ndarray) -> tuple[float, float]:
+    """Total weight and weighted mean of the responses ``z`` under weights ``w``.
+
+    The weights are summed in order. The mean stays finite when the weighted
+    sum overflows: the weights are then divided by their total first.
+    """
+    weight = sum(memoryview(w))
+    # vdot, unlike dot, lets an overflow through without a warning
+    mean = float(np.vdot(w, z)) / weight
+    if mean - mean != 0.0:  # the weighted sum overflowed; scale the weights first
+        mean = float(np.vdot(w / weight, z))
+    return weight, mean
+
+
 def weighted_mean(series: WeightedSeries, lo: int, hi: int) -> float:
     """Weighted average of the responses over positions lo..hi (1-based, inclusive)."""
     if not 1 <= lo <= hi <= series.m:
         raise IndexError(f"need 1 <= lo <= hi <= {series.m}, got lo={lo}, hi={hi}")
-    w = series.w[lo - 1 : hi]
-    return float(np.dot(w, series.z[lo - 1 : hi]) / w.sum())
+    return _stretch(series.z[lo - 1 : hi], series.w[lo - 1 : hi])[1]
 
 
 @dataclass(frozen=True)
@@ -154,7 +167,7 @@ class FittedBlocks:
             )
         if not np.isfinite(means).all() or not np.isfinite(weights).all():
             raise ValueError("block means and weights must be finite")
-        if not (np.diff(means) < 0).all():
+        if not (means[1:] < means[:-1]).all():
             raise ValueError("block means must be strictly decreasing")
         if not (weights > 0).all():
             raise ValueError("block weights must be strictly positive")
@@ -177,9 +190,7 @@ class FittedBlocks:
                 f"partition covers {self.partition.m} positions, series has {series.m}"
             )
         for s, (lo, hi) in enumerate(self.partition.blocks()):
-            w = series.w[lo - 1 : hi]
-            total = float(w.sum())
-            mean = float(np.dot(w, series.z[lo - 1 : hi]) / total)
+            total, mean = _stretch(series.z[lo - 1 : hi], series.w[lo - 1 : hi])
             if not isclose(total, float(self.weights[s]), rel_tol=rtol, abs_tol=rtol):
                 raise ValueError(
                     f"block {s + 1} weight mismatch: stored {self.weights[s]}, summed {total}"
@@ -329,11 +340,7 @@ class BlockFit:
         if hi - lo == 1:
             mean, weight = value, wv[lo]
         else:
-            weight = sum(wv[lo:hi])
-            # vdot, unlike dot, lets an overflow through without a warning
-            mean = float(np.vdot(self.w[lo:hi], self.z[lo:hi])) / weight
-            if mean - mean != 0.0:  # the weighted sum overflowed; scale the weights first
-                mean = float(np.vdot(self.w[lo:hi] / weight, self.z[lo:hi]))
+            weight, mean = _stretch(self.z[lo:hi], self.w[lo:hi])
         _absorb(bounds, means, weights, (hi,), (mean,), (weight,))
         if hi < b:
             _absorb(bounds, means, weights, *_runs(self.z, self.w, hi, b))

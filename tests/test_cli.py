@@ -158,6 +158,15 @@ class TestFit:
         assert "Infinity" not in out
         assert_allclose(json.loads(out)["fit"], [1e308 / 3 * 2] * 3, rtol=1e-15)
 
+    def test_opposite_huge_values_print_no_warning(self, tmp_path):
+        path = write(tmp_path / "z.txt", "1e308\n-1e308\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "seqpava", "fit", path], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["fit"] == [1e308, -1e308]
+
 
 class TestIdr:
     def observations(self, tmp_path, rows):
@@ -316,3 +325,134 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["boundaries"] == [0, 3, 7, 9]
+
+
+SIX_ROWS = "x,y\n1,3\n1,1\n1,2\n2.5,1.5\n2.5,0.25\n3,5\n"
+
+SIX_ESTIMATE = """\
+y,1,2.5,3
+0.25,0.20000000000000001,0.20000000000000001,0
+1,0.40000000000000002,0.40000000000000002,0
+1.5,0.59999999999999998,0.59999999999999998,0
+2,0.80000000000000004,0.80000000000000004,0
+3,1,1,0
+5,1,1,1
+"""
+
+SIX_QUANTILES = """\
+x,0.1,0.25,0.5,0.75,0.9
+1,0.25,1,1.5,2,3
+2.5,0.25,1,1.5,2,3
+3,5,5,5,5,5
+"""
+
+GEN_5_SEED_1 = """\
+x,y
+5.1182162470025672,2.8358302597545659
+9.5046369632593528,7.4845119077596252
+1.4415961271963373,0.082799490983916771
+9.4864944713724384,7.3383230716964443
+3.1183145201048545,0.25000395082261528
+"""
+
+
+class TestFileFormat:
+    """The rules every command's files share, and golden outputs that pin them."""
+
+    def test_gen_golden(self, capsys):
+        assert run_cli(capsys, "gen", "--n", "5", "--seed", "1") == (0, GEN_5_SEED_1, "")
+
+    def test_idr_golden(self, capsys, tmp_path):
+        path = write(tmp_path / "six.csv", SIX_ROWS)
+        for variant in ("standard", "modified", "abridged"):
+            assert run_cli(capsys, "idr", path, "--variant", variant) == (0, SIX_ESTIMATE, "")
+
+    def test_quantiles_golden(self, capsys, tmp_path):
+        path = write(tmp_path / "est.csv", SIX_ESTIMATE)
+        assert run_cli(capsys, "quantiles", path) == (0, SIX_QUANTILES, "")
+
+    def test_blank_lines_are_skipped(self, capsys, tmp_path):
+        obs = write(tmp_path / "obs.csv", "\n  \n" + SIX_ROWS.replace("\n", "\n\n"))
+        assert run_cli(capsys, "idr", obs) == (0, SIX_ESTIMATE, "")
+        est = write(tmp_path / "est.csv", "\n" + SIX_ESTIMATE.replace("\n", "\n \n"))
+        assert run_cli(capsys, "quantiles", est) == (0, SIX_QUANTILES, "")
+        series = write(tmp_path / "z.txt", "\n1\n\n3\n\n")
+        weights = write(tmp_path / "w.txt", "1\n\n\n1\n")
+        changes = write(tmp_path / "c.csv", "\n\n2,0\n\n")
+        code, out, _ = run_cli(capsys, "fit", series, "--weights", weights, "--changes", changes)
+        assert code == 0
+        assert json.loads(out)["fit"] == [1.0, 0.0]
+
+    @pytest.mark.parametrize(
+        "command, text, line",
+        [
+            ("fit", "1\n\n\nabc\n", 4),
+            ("idr", "\nx,y\n\n1,2\n\n1,abc\n", 6),
+            ("quantiles", "y,1\n\n0,1\n\n1,1,1\n", 5),
+        ],
+    )
+    def test_blank_lines_count_in_line_numbers(self, capsys, tmp_path, command, text, line):
+        code, _, err = run_cli(capsys, command, write(tmp_path / "in.csv", text))
+        assert code == 2
+        assert f"line {line}:" in err
+
+    def test_crlf_line_endings(self, capsys, tmp_path):
+        obs = tmp_path / "obs.csv"
+        obs.write_bytes(SIX_ROWS.replace("\n", "\r\n").encode())
+        assert run_cli(capsys, "idr", str(obs)) == (0, SIX_ESTIMATE, "")
+        est = tmp_path / "est.csv"
+        est.write_bytes(SIX_ESTIMATE.replace("\n", "\r\n").encode())
+        assert run_cli(capsys, "quantiles", str(est)) == (0, SIX_QUANTILES, "")
+        series, weights, changes = tmp_path / "z.txt", tmp_path / "w.txt", tmp_path / "c.csv"
+        series.write_bytes(b"1\r\n3\r\n")
+        weights.write_bytes(b"1\r\n3\r\n")
+        changes.write_bytes(b"1,4\r\n")
+        code, out, _ = run_cli(
+            capsys, "fit", str(series), "--weights", str(weights), "--changes", str(changes)
+        )
+        assert code == 0
+        assert json.loads(out)["fit"] == [4.0, 3.0]
+
+    def test_bad_weights_line(self, capsys, tmp_path):
+        series = write(tmp_path / "z.txt", "0\n1\n2\n")
+        weights = write(tmp_path / "w.txt", "1\n1,2\n1\n")
+        code, _, err = run_cli(capsys, "fit", series, "--weights", weights)
+        assert code == 2
+        assert "line 2:" in err
+
+    @pytest.mark.parametrize("bad", ["3", "2.5,1", "2.0,1", "1,abc", "1,2,3"])
+    def test_bad_changes_line(self, capsys, tmp_path, bad):
+        series = write(tmp_path / "z.txt", "0\n1\n2\n")
+        changes = write(tmp_path / "c.csv", f"1,5\n\n{bad}\n2,0\n")
+        code, _, err = run_cli(capsys, "fit", series, "--changes", changes)
+        assert code == 2
+        assert "line 3:" in err
+
+    def test_malformed_changes_line_before_bad_index_is_named(self, capsys, tmp_path):
+        series = write(tmp_path / "z.txt", "0\n1\n2\n")
+        changes = write(tmp_path / "c.csv", "1,abc\n2.0,1\n")
+        code, _, err = run_cli(capsys, "fit", series, "--changes", changes)
+        assert code == 2
+        assert "line 1:" in err
+
+    @pytest.mark.parametrize("variant", ["standard", "modified", "abridged"])
+    def test_empty_changes_file_is_no_changes(self, capsys, tmp_path, mixed_file, variant):
+        changes = write(tmp_path / "c.csv", "\n \n")
+        plain = run_cli(capsys, "fit", mixed_file, "--variant", variant)
+        assert plain[0] == 0
+        argv = ("fit", mixed_file, "--variant", variant, "--changes", changes)
+        assert run_cli(capsys, *argv) == plain
+
+    def test_ragged_estimate_row(self, capsys, tmp_path):
+        path = write(tmp_path / "est.csv", "y,1,2\n0,1,0\n1,1\n")
+        code, _, err = run_cli(capsys, "quantiles", path)
+        assert code == 2
+        assert "line 3:" in err
+
+    @pytest.mark.parametrize("header", ["x,1,2", "1,2", "y"])
+    def test_estimate_header_must_start_with_y(self, capsys, tmp_path, header):
+        path = write(tmp_path / "est.csv", f"\n{header}\n0,1,0\n1,1,1\n")
+        code, _, err = run_cli(capsys, "quantiles", path)
+        assert code == 2
+        assert "line 2:" in err
+

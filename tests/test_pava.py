@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,13 @@ class TestWeightedMean:
         with pytest.raises(IndexError):
             weighted_mean(mixed_series, lo, hi)
 
+    def test_huge_values_stay_finite(self):
+        # the weighted sum 3e308 overflows, the mean does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = weighted_mean(WeightedSeries([1e308] * 3), 1, 3)
+        assert mean == pytest.approx(1e308, rel=1e-15)
+
 
 class TestBlockTypes:
     def test_partition_access(self):
@@ -109,6 +118,16 @@ class TestBlockTypes:
         tampered = FittedBlocks(good.partition, good.means + [0.0, 0.5, 0.0], good.weights)
         with pytest.raises(ValueError):
             tampered.validate(mixed_series)
+
+    def test_validate_accepts_huge_values(self):
+        series = WeightedSeries([1e308] * 3)
+        fit_standard(series).validate(series)
+
+    def test_opposite_huge_means_give_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            blocks = FittedBlocks(BlockPartition([0, 1, 2]), [1e308, -1e308], [1.0, 1.0])
+        assert_array_equal(blocks.means, [1e308, -1e308])
 
 
 class TestFitStandard:

@@ -4,12 +4,13 @@ Given observations ``(x_i, y_i)``, the goal is an estimate of the
 conditional distribution function at every unique covariate, constrained so
 that larger covariates give stochastically larger responses. Sweeping the
 sorted responses from below, the per-group indicator averages
-``z_j(y) = mean of 1[y_i <= y] within group j`` change in exactly one
-component per step, and the non-increasing least-squares fit of that vector
-is the column of CDF estimates at threshold ``y``. The "abridged" variant
-carries the fit across steps with incremental updates; "standard" and
-"modified" refit from scratch at every step with the corresponding batch
-solver. Recorded columns are computed from exact integer sums over the
+``z_j(y) = mean of 1[y_i <= y] within group j`` change from one threshold to
+the next only in the groups with responses at the new threshold, and the
+non-increasing least-squares fit of that vector is the column of CDF
+estimates at threshold ``y``. The "abridged" variant carries the fit across
+thresholds with one incremental update per changed group; "standard" and
+"modified" refit from scratch once per threshold with the corresponding
+batch solver. Recorded columns are computed from exact integer sums over the
 fitted blocks, so all three give bit-identical estimates.
 """
 from __future__ import annotations
@@ -31,7 +32,8 @@ class ObservationSet:
 
     Built via :func:`group`; ``weights[j]`` counts the observations sharing
     ``covariates[j]`` and ``group_index[i]`` maps observation ``i`` to its
-    covariate group.
+    covariate group. Construction checks both, since the sweep counts
+    observations per group against these weights.
     """
 
     x: np.ndarray
@@ -47,10 +49,16 @@ class ObservationSet:
             raise ValueError("observation fields must have equal length")
         if not (np.diff(self.covariates) > 0).all():
             raise ValueError("covariates must be strictly increasing")
-        if int(self.weights.sum()) != self.x.size:
-            raise ValueError("group weights must sum to the number of observations")
+        m = self.covariates.size
+        if not np.issubdtype(self.group_index.dtype, np.integer):
+            raise ValueError("group index must hold integers")
+        if self.group_index.min() < 0 or self.group_index.max() >= m:
+            raise ValueError(f"group index must lie in 0..{m - 1}")
         if (self.covariates[self.group_index] != self.x).any():
             raise ValueError("group index does not map observations to their covariates")
+        counts = np.bincount(self.group_index, minlength=m)
+        if self.weights.shape != counts.shape or (self.weights != counts).any():
+            raise ValueError("group weights must be the number of observations in each group")
 
     @property
     def n(self) -> int:
@@ -159,9 +167,13 @@ class DistributionFamilyEstimate:
 def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFamilyEstimate:
     """Estimate the CDF family by sweeping the sorted responses.
 
-    Observations are sorted by response, ties broken by covariate group; the
-    recorded estimate at a tied response is the fit after the last tied
-    update, so the exposed columns do not depend on the tie order.
+    Observations are sorted by response, ties broken by covariate group, and
+    swept by cells: a cell is a maximal run of sorted observations with equal
+    response and group, so each threshold has one cell per group it changes.
+    The abridged variant updates the fit once per cell; the batch variants
+    write z per cell and refit once per threshold. The recorded estimate at
+    a response is the fit after its last cell, so the exposed columns do not
+    depend on the tie order.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -171,34 +183,37 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
     w_list = w.tolist()
 
     order = np.lexsort((obs.group_index, obs.y))
-    groups = obs.group_index[order].tolist()
+    groups = obs.group_index[order]
     y_sorted = obs.y[order]
-    record = np.empty(n, dtype=bool)
-    record[-1] = True
-    if n > 1:
-        record[:-1] = y_sorted[1:] != y_sorted[:-1]
-    thresholds = y_sorted[record].copy()
-    record = record.tolist()
+    new_y = np.empty(n, dtype=bool)
+    new_y[0] = True
+    np.not_equal(y_sorted[1:], y_sorted[:-1], out=new_y[1:])
+    thresholds = y_sorted[new_y]
+    is_start = new_y.copy()
+    is_start[1:] |= groups[1:] != groups[:-1]
+    starts = np.flatnonzero(is_start)
+    sizes = np.diff(starts, append=n).tolist()
+    # a cell closes its threshold when the next cell starts a new response
+    closes = np.append(new_y[starts[1:]], True).tolist()
+    cell_groups = groups[starts].tolist()
 
     fit = BlockFit(WeightedSeries(np.zeros(m), w))
     z = fit.z
-    if variant == "abridged":
-        update = fit.set
-    else:
-        by_runs = variant == "modified"
-
-        def update(j, value):
-            z[j - 1] = value
-            fit.refit(by_runs)
-
+    abridged = variant == "abridged"
+    by_runs = variant == "modified"
     counts = [0] * m
     table = np.empty((thresholds.size, m))
 
     row = 0
-    for j, recorded in zip(groups, record):
-        counts[j] += 1
-        update(j + 1, counts[j] / w_list[j])
-        if recorded:
+    for j, size, closed in zip(cell_groups, sizes, closes):
+        counts[j] += size
+        if abridged:
+            fit.set(j + 1, counts[j] / w_list[j])
+        else:
+            z[j] = counts[j] / w_list[j]
+        if closed:
+            if not abridged:
+                fit.refit(by_runs)
             # One division of exact integer sums (rounding z * w recovers the
             # counts) makes each block mean correctly rounded whatever the
             # pooling order, so rows cannot fall by an ulp.

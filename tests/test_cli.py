@@ -346,6 +346,41 @@ x,0.1,0.25,0.5,0.75,0.9
 3,5,5,5,5,5
 """
 
+# tie runs across all three covariates, and repeated (x, y) pairs
+REPEATED_ROWS = """\
+x,y
+1,2
+2,2
+2,2
+3,1
+1,1
+3,2
+2,0
+1,2
+3,3
+2,2
+3,1
+1,0.5
+3,3
+2,1
+"""
+
+REPEATED_ESTIMATE = """\
+y,1,2,3
+0,0.1111111111111111,0.1111111111111111,0
+0.5,0.25,0.20000000000000001,0
+1,0.5,0.40000000000000002,0.40000000000000002
+2,1,1,0.59999999999999998
+3,1,1,1
+"""
+
+REPEATED_QUANTILES = """\
+x,0.1,0.25,0.5,0.75,0.9
+1,0,0.5,1,2,2
+2,0,1,2,2,2
+3,1,1,2,3,3
+"""
+
 GEN_5_SEED_1 = """\
 x,y
 5.1182162470025672,2.8358302597545659
@@ -370,6 +405,16 @@ class TestFileFormat:
     def test_quantiles_golden(self, capsys, tmp_path):
         path = write(tmp_path / "est.csv", SIX_ESTIMATE)
         assert run_cli(capsys, "quantiles", path) == (0, SIX_QUANTILES, "")
+
+    def test_idr_golden_with_repeated_rows(self, capsys, tmp_path):
+        path = write(tmp_path / "repeated.csv", REPEATED_ROWS)
+        for variant in ("standard", "modified", "abridged"):
+            result = run_cli(capsys, "idr", path, "--variant", variant)
+            assert result == (0, REPEATED_ESTIMATE, "")
+
+    def test_quantiles_golden_with_repeated_rows(self, capsys, tmp_path):
+        path = write(tmp_path / "est.csv", REPEATED_ESTIMATE)
+        assert run_cli(capsys, "quantiles", path) == (0, REPEATED_QUANTILES, "")
 
     def test_blank_lines_are_skipped(self, capsys, tmp_path):
         obs = write(tmp_path / "obs.csv", "\n  \n" + SIX_ROWS.replace("\n", "\n\n"))

@@ -3,8 +3,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from seqpava import (
+    BlockFit,
     DistributionFamilyEstimate,
     ExperimentConfig,
+    ObservationSet,
     WeightedSeries,
     check_fit,
     fit_family,
@@ -36,6 +38,40 @@ class TestGroup:
     def test_rejects_bad_input(self, pairs):
         with pytest.raises(ValueError):
             group(pairs)
+
+
+class TestObservationSet:
+    @staticmethod
+    def build(weights, group_index, x=(1.0, 2.0)):
+        return ObservationSet(
+            x=np.array(x),
+            y=np.zeros(len(x)),
+            covariates=np.array([1.0, 2.0]),
+            weights=np.array(weights),
+            group_index=np.array(group_index),
+        )
+
+    def test_accepts_group_multiplicities(self):
+        obs = self.build([1.0, 2.0], [0, 1, 1], x=(1.0, 2.0, 2.0))
+        assert obs.n == 3 and obs.m == 2
+
+    def test_rejects_weights_that_are_not_multiplicities(self):
+        # the weights sum to n, but fit_family would give CDF entries of 2.0
+        with pytest.raises(ValueError, match="number of observations in each group"):
+            self.build([0.5, 1.5], [0, 1])
+
+    def test_rejects_negative_group_index(self):
+        # index -1 wraps around to the covariate 2.0, which x matches
+        with pytest.raises(ValueError, match="group index must lie in 0..1"):
+            self.build([1.0, 2.0], [0, -1, 1], x=(1.0, 2.0, 2.0))
+
+    def test_rejects_group_index_beyond_covariates(self):
+        with pytest.raises(ValueError, match="group index must lie in 0..1"):
+            self.build([1.0, 1.0], [0, 2])
+
+    def test_rejects_non_integer_group_index(self):
+        with pytest.raises(ValueError, match="integers"):
+            self.build([1.0, 1.0], [0.0, 1.0])
 
 
 class TestFitFamily:
@@ -109,6 +145,33 @@ class TestFitFamily:
             shuffled = fit_family(group(pairs[perm]), "abridged")
             assert_array_equal(shuffled.thresholds, base.thresholds)
             assert_array_equal(shuffled.cdf, base.cdf)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_work_is_one_update_per_cell_or_one_refit_per_threshold(self, monkeypatch, variant):
+        rng = np.random.default_rng(13)
+        pairs = rng.integers(0, 6, size=(300, 2)).astype(float)  # 36 cells, 6 thresholds
+        obs = group(pairs)
+        calls = {"set": 0, "refit": 0}
+
+        def counted(name):
+            method = getattr(BlockFit, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return method(self, *args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(BlockFit, name, counted(name))
+        est = fit_family(obs, variant)
+        cells = len(np.unique(pairs, axis=0))
+        assert cells < obs.n
+        # the engine's construction fits the zero vector once
+        if variant == "abridged":
+            assert calls == {"set": cells, "refit": 1}
+        else:
+            assert calls == {"set": 0, "refit": 1 + est.k}
 
     def test_single_covariate_gives_ecdf(self):
         y = np.array([3.0, 1.0, 2.0, 2.0])

@@ -28,6 +28,29 @@ def test_graded_family_matches_scipy_column_by_column():
         assert_allclose(est.cdf[:, t], want, rtol=0, atol=1e-12)
 
 
+def test_tied_family_matches_scipy_column_by_column():
+    # 200 integer covariates with ~100 observations each: every sweep cell
+    # moves one group by a whole run of tied observations
+    rng = np.random.default_rng(6)
+    x = rng.integers(1, 201, 20_000).astype(float)
+    latent = rng.gamma(np.sqrt(x / 20.0) + 0.5, 1.0)
+    y = 1.0 + np.searchsorted(np.linspace(0.5, 9.5, 19), latent)
+    obs = group(np.column_stack((x, y)))
+    assert obs.m == 200
+    est = fit_family(obs, "abridged")
+    for variant in ("standard", "modified"):
+        assert_array_equal(fit_family(obs, variant).cdf, est.cdf)
+    assert est.k == 20
+    pooled = 0
+    for t, threshold in enumerate(est.thresholds):
+        counts = np.bincount(obs.group_index[obs.y <= threshold], minlength=obs.m)
+        z = counts / obs.weights
+        want = scipy_fit(z, obs.weights)
+        assert_allclose(est.cdf[:, t], want, rtol=0, atol=1e-12)
+        pooled += int((want != z).sum())
+    assert pooled > 0
+
+
 def touched_block_series(fractional: bool, length: int):
     """A series whose middle block spans ``length`` indices, with blocks on both sides.
 

@@ -8,7 +8,8 @@ sorted responses from below, the per-group indicator averages
 the next only in the groups with responses at the new threshold, and the
 non-increasing least-squares fit of that vector is the column of CDF
 estimates at threshold ``y``. The "abridged" variant carries the fit across
-thresholds with one incremental update per changed group; "standard" and
+thresholds with one incremental update per threshold, which reworks only the
+span of blocks between the first and the last changed group; "standard" and
 "modified" refit from scratch once per threshold with the corresponding
 batch solver. Recorded columns are computed from exact integer sums over the
 fitted blocks, so all three give bit-identical estimates.
@@ -43,6 +44,9 @@ class ObservationSet:
     group_index: np.ndarray
 
     def __post_init__(self) -> None:
+        for name in ("x", "y", "covariates", "weights"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        object.__setattr__(self, "group_index", np.asarray(self.group_index))
         if self.x.size == 0:
             raise ValueError("need at least one observation")
         if self.y.size != self.x.size or self.group_index.size != self.x.size:
@@ -170,10 +174,11 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
     Observations are sorted by response, ties broken by covariate group, and
     swept by cells: a cell is a maximal run of sorted observations with equal
     response and group, so each threshold has one cell per group it changes.
-    The abridged variant updates the fit once per cell; the batch variants
-    write z per cell and refit once per threshold. The recorded estimate at
-    a response is the fit after its last cell, so the exposed columns do not
-    depend on the tie order.
+    At each threshold, the abridged variant updates the fit once with all of
+    its cells through :meth:`~seqpava.pava.BlockFit.set_many`, reworking only
+    the span from the first to the last changed group; the batch variants
+    write z per cell and refit. Each recorded column is the fit after all of
+    a threshold's cells, so it does not depend on the tie order.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -192,35 +197,32 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
     is_start = new_y.copy()
     is_start[1:] |= groups[1:] != groups[:-1]
     starts = np.flatnonzero(is_start)
-    sizes = np.diff(starts, append=n).tolist()
-    # a cell closes its threshold when the next cell starts a new response
-    closes = np.append(new_y[starts[1:]], True).tolist()
-    cell_groups = groups[starts].tolist()
+    cell_groups = groups[starts]
+    # threshold t owns cells edges[t]..edges[t+1]-1, in increasing group order
+    edges = np.append(np.flatnonzero(new_y[starts]), starts.size).tolist()
+    # the z value of each cell's group once the cell is counted
+    counts = [0] * m
+    values = []
+    for j, size in zip(cell_groups.tolist(), np.diff(starts, append=n).tolist()):
+        counts[j] += size
+        values.append(counts[j] / w_list[j])
+    positions = (cell_groups + 1).tolist()
 
     fit = BlockFit(WeightedSeries(np.zeros(m), w))
     z = fit.z
-    abridged = variant == "abridged"
-    by_runs = variant == "modified"
-    counts = [0] * m
     table = np.empty((thresholds.size, m))
-
-    row = 0
-    for j, size, closed in zip(cell_groups, sizes, closes):
-        counts[j] += size
-        if abridged:
-            fit.set(j + 1, counts[j] / w_list[j])
+    for row, (lo, hi) in enumerate(zip(edges, edges[1:])):
+        if variant == "abridged":
+            fit.set_many(positions[lo:hi], values[lo:hi])
         else:
-            z[j] = counts[j] / w_list[j]
-        if closed:
-            if not abridged:
-                fit.refit(by_runs)
-            # One division of exact integer sums (rounding z * w recovers the
-            # counts) makes each block mean correctly rounded whatever the
-            # pooling order, so rows cannot fall by an ulp.
-            b = np.array(fit.bounds)
-            lo = b[:-1]
-            block_means = np.add.reduceat(np.rint(z * w), lo) / np.add.reduceat(w, lo)
-            table[row] = np.repeat(block_means, b[1:] - lo)
-            row += 1
+            z[cell_groups[lo:hi]] = values[lo:hi]
+            fit.refit(variant == "modified")
+        # One division of exact integer sums (rounding z * w recovers the
+        # counts) makes each block mean correctly rounded whatever the
+        # pooling order, so rows cannot fall by an ulp.
+        b = np.array(fit.bounds)
+        left = b[:-1]
+        block_means = np.add.reduceat(np.rint(z * w), left) / np.add.reduceat(w, left)
+        table[row] = np.repeat(block_means, b[1:] - left)
 
     return DistributionFamilyEstimate(obs.covariates.copy(), thresholds, table.T)

@@ -8,7 +8,7 @@ one index at a time and pools backwards whenever adjacent block means stop
 decreasing, while :func:`fit_modified` seeds each new block with a maximal
 constant run of the response vector, which pays off on inputs with long
 plateaus. Both compute the same fit, through :class:`BlockFit`, which also
-updates a fit in place when one response value changes.
+updates a fit in place when response values change.
 
 Public index arguments are 1-based; block ``s`` of a partition covers
 positions ``b[s-1]+1 .. b[s]`` of the boundary vector ``b`` with ``b[0] == 0``.
@@ -201,6 +201,8 @@ class FittedBlocks:
                 )
 
 
+_INTEGERS = (int, np.integer)  # the types :meth:`BlockFit.set_many` takes as positions
+
 # Below this many indices, finding runs with numpy costs more than pushing
 # every index as its own run.
 _SHORT_SPAN = 16
@@ -256,10 +258,11 @@ class BlockFit:
     """The fit of a response vector that it owns, kept in lists and updated in place.
 
     Built from a validated :class:`WeightedSeries`: ``z`` is the engine's own
-    copy of its responses and ``w`` its weights. :meth:`set` edits ``z``;
-    after editing it directly, call :meth:`refit`. Block ``s`` covers 1-based
-    positions ``bounds[s-1]+1 .. bounds[s]`` and has mean ``means[s-1]`` and
-    weight ``weights[s-1]``. The fit is computed by constant runs
+    copy of its responses and ``w`` its weights. :meth:`set` and
+    :meth:`set_many` edit ``z``; after editing it directly, call
+    :meth:`refit`. Block ``s`` covers 1-based positions
+    ``bounds[s-1]+1 .. bounds[s]`` and has mean ``means[s-1]`` and weight
+    ``weights[s-1]``. The fit is computed by constant runs
     (``by_runs``) or index by index. Every pass and every update pushes
     blocks through the one pooling kernel.
     """
@@ -301,51 +304,89 @@ class BlockFit:
     def set(self, j: int, value: float) -> None:
         """Set ``z`` at 1-based position ``j`` to ``value`` and update the fit.
 
-        Only the touched block ``a+1..b`` and whatever pools with it are
-        reworked. Raising ``z[j]`` leaves every block right of the touched
-        one in place and keeps the head ``a+1..j`` pooled. Reversing the
-        index order and negating the values maps non-increasing fits to
-        non-increasing fits, so lowering it mirrors that: blocks left of the
-        touched one stay and the tail ``j..b`` stays pooled. The block is cut
-        at ``j`` and pushed back, the part that stays pooled as one unit and
-        the rest by its constant runs. Old right blocks are then re-pushed
-        while they no longer lie strictly below the last block, and the rest
-        are spliced back. Pre-pooling a stretch that lies inside one level
-        set of the new fit cannot change it, so the result is exact. A ``j``
-        outside 1..m or a non-finite ``value`` raises before anything changes.
+        The batch of one position of :meth:`set_many`: raising ``z[j]`` keeps
+        the head of the touched block pooled, lowering it keeps the tail.
         """
-        if j < 1:  # a j beyond m fails at bounds[s] below, before anything changes
-            raise IndexError(f"position must be at least 1, got {j}")
-        if not isfinite(value):
-            raise ValueError(f"new value must be finite, got {value}")
+        self.set_many((j,), (value,))
+
+    def set_many(self, positions, values) -> None:
+        """Set ``z`` at the 1-based ``positions`` to ``values`` and update the fit once.
+
+        ``positions`` increase strictly; an empty batch changes nothing. Let
+        the first position lie in block ``s1`` and the last in block ``sr``,
+        and let ``a+1..b`` be the span from the start of ``s1`` to the end of
+        ``sr``. Blocks left of ``s1`` are the fit of the prefix ``z[:a]``,
+        which no change touches, so they stay. Reversing the index order and
+        negating the values maps non-increasing fits to non-increasing fits,
+        so by the mirror argument blocks right of ``sr`` are the fit of the
+        untouched suffix. The span is pushed back by its constant runs, old
+        right blocks are re-pushed while they no longer lie strictly below
+        the last block, and the rest are spliced back.
+
+        When no change lowers ``z``, the head ``a+1..j1`` up to the first
+        position stays in one level set of the new fit; when no change raises
+        it, the tail ``jr..b`` from the last position does. That stretch is
+        pushed as one unit, since pre-pooling a stretch that lies inside one
+        level set of the new fit cannot change it. A batch that moves ``z``
+        both ways pre-pools nothing. The result is the exact fit of the new
+        ``z``. Positions that are not integers, not strictly increasing or
+        outside 1..m, and non-finite values, raise before anything changes.
+        """
+        if len(positions) != len(values):
+            raise ValueError(f"got {len(positions)} positions but {len(values)} values")
         zv, wv = self._z, self._w
+        m = len(zv)
+        last = 0
+        for j, value in zip(positions, values):
+            if not isinstance(j, _INTEGERS):
+                raise TypeError(f"position {j!r} is not an integer")
+            if not 1 <= j <= m:
+                raise IndexError(f"position {j} is outside 1..{m}")
+            if j <= last:
+                raise ValueError(f"positions must increase strictly, got {j} after {last}")
+            if not isfinite(value):
+                raise ValueError(f"new value at position {j} must be finite, got {value}")
+            last = j
+        if not last:
+            return
+        up = down = False
+        for j, value in zip(positions, values):
+            old = zv[j - 1]
+            zv[j - 1] = value
+            if value > old:
+                up = True
+            elif value < old:
+                down = True
         bounds, means, weights = self.bounds, self.means, self.weights
-        s = bisect_left(bounds, j)  # block s covers j: bounds[s-1] < j <= bounds[s]
-        b = bounds[s]
-        a = bounds[s - 1]
-        # z[lo:hi] is the part of the block that stays pooled
-        if value > zv[j - 1]:
-            lo, hi = a, j
-        else:
-            lo, hi = j - 1, b
-        zv[j - 1] = value
-        right_bounds = bounds[s + 1 :]
-        right_means = means[s:]
-        right_weights = weights[s:]
-        del bounds[s:]
-        del means[s - 1 :]
-        del weights[s - 1 :]
+        first = positions[0]
+        s1 = bisect_left(bounds, first)  # bounds[s1-1] < first <= bounds[s1]
+        sr = s1 if last <= bounds[s1] else bisect_left(bounds, last, s1)
+        a = bounds[s1 - 1]
+        b = bounds[sr]
+        # z[lo:hi] stays pooled
+        if not up:
+            lo, hi = last - 1, b
+        elif not down:
+            lo, hi = a, first
+        else:  # a mixed batch: pre-pooling either end could split a level set
+            lo = hi = b
+        right_bounds = bounds[sr + 1 :]
+        right_means = means[sr:]
+        right_weights = weights[sr:]
+        del bounds[s1:]
+        del means[s1 - 1 :]
+        del weights[s1 - 1 :]
         if lo > a:
             _absorb(bounds, means, weights, *_runs(self.z, self.w, a, lo))
         if hi - lo == 1:
-            mean, weight = value, wv[lo]
-        else:
+            _absorb(bounds, means, weights, (hi,), (zv[lo],), (wv[lo],))
+        elif hi > lo:
             weight, mean = _stretch(self.z[lo:hi], self.w[lo:hi])
-        _absorb(bounds, means, weights, (hi,), (mean,), (weight,))
+            _absorb(bounds, means, weights, (hi,), (mean,), (weight,))
         if hi < b:
             _absorb(bounds, means, weights, *_runs(self.z, self.w, hi, b))
         # Re-push old right blocks that no longer lie strictly below the last
-        # block: after a decrease this pools rightwards, after an increase only
+        # block: after a decrease this pools rightwards, after increases only
         # rounding can get past the first comparison.
         if right_means and means[-1] <= right_means[0]:
             k = 0

@@ -73,6 +73,15 @@ class TestObservationSet:
         with pytest.raises(ValueError, match="integers"):
             self.build([1.0, 1.0], [0.0, 1.0])
 
+    def test_accepts_list_fields(self):
+        obs = ObservationSet(
+            x=[1.0, 2.0], y=[0.0, 1.0], covariates=[1.0, 2.0], weights=[1.0, 1.0], group_index=[0, 1]
+        )
+        assert obs.n == 2 and obs.m == 2
+        assert isinstance(obs.x, np.ndarray) and obs.group_index.dtype.kind == "i"
+        want = fit_family(group([(1.0, 0.0), (2.0, 1.0)]))
+        assert_array_equal(fit_family(obs).cdf, want.cdf)
+
 
 class TestFitFamily:
     def test_single_pair(self):
@@ -151,7 +160,7 @@ class TestFitFamily:
         rng = np.random.default_rng(13)
         pairs = rng.integers(0, 6, size=(300, 2)).astype(float)  # 36 cells, 6 thresholds
         obs = group(pairs)
-        calls = {"set": 0, "refit": 0}
+        calls = {"set": 0, "set_many": 0, "refit": 0}
 
         def counted(name):
             method = getattr(BlockFit, name)
@@ -167,11 +176,12 @@ class TestFitFamily:
         est = fit_family(obs, variant)
         cells = len(np.unique(pairs, axis=0))
         assert cells < obs.n
-        # the engine's construction fits the zero vector once
+        # the engine's construction fits the zero vector once; the abridged
+        # sweep then updates it once per threshold, with all of its cells
         if variant == "abridged":
-            assert calls == {"set": cells, "refit": 1}
+            assert calls == {"set": 0, "set_many": est.k, "refit": 1}
         else:
-            assert calls == {"set": 0, "refit": 1 + est.k}
+            assert calls == {"set": 0, "set_many": 0, "refit": 1 + est.k}
 
     def test_single_covariate_gives_ecdf(self):
         y = np.array([3.0, 1.0, 2.0, 2.0])

@@ -4,7 +4,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import isotonic_regression
 
-from seqpava import WeightedSeries, expand, fit_family, group
+from seqpava import BlockFit, WeightedSeries, expand, fit_family, fit_modified, fit_standard, group
 from seqpava.sequential import init, update_any, update_increase
 
 
@@ -123,3 +123,89 @@ def test_update_decrease_matches_scipy(fractional, length, head, pool_right):
     assert_array_equal(new.blocks.means[new_left[1:]], state.blocks.means[old_left[1:]])
     assert_array_equal(new.blocks.weights[new_left[1:]], state.blocks.weights[old_left[1:]])
     assert (b_end in new_bounds) != pool_right
+
+
+def _bits(fit, keep):
+    """The blocks of ``fit`` whose right edge satisfies ``keep``, as exact tuples."""
+    return [
+        (edge, mean, weight)
+        for edge, mean, weight in zip(fit.bounds[1:], fit.means, fit.weights)
+        if keep(edge)
+    ]
+
+
+@pytest.mark.parametrize("direction", ["raise", "lower", "mixed"])
+def test_set_many_matches_scipy_at_large_m(direction):
+    # a noisy falling trend in halves: runs, pooling and thousands of blocks
+    m = 100_000
+    rng = np.random.default_rng(["raise", "lower", "mixed"].index(direction))
+    z = np.round(rng.normal(0.0, 6.0, m) - np.linspace(0.0, 400.0, m)) / 2.0
+    w = rng.integers(1, 5, m).astype(float)
+    fit = BlockFit(WeightedSeries(z, w))
+    before = fit.copy()
+    assert len(fit.means) > 500
+    positions = np.sort(rng.choice(np.arange(m // 20, m - m // 20), m // 20, replace=False)) + 1
+    steps = rng.integers(1, 40, positions.size) / 2.0
+    if direction == "lower":
+        steps = -steps
+    elif direction == "mixed":
+        steps *= rng.choice([-1.0, 1.0], positions.size)
+    if direction != "raise":
+        steps[-1] = -400.0  # the span then pools into old right blocks
+    fit.set_many(positions.tolist(), (z[positions - 1] + steps).tolist())
+
+    new_z = z.copy()
+    new_z[positions - 1] += steps
+    assert_array_equal(fit.z, new_z)
+    want = scipy_fit(new_z, w)
+    assert_allclose(expand(fit.snapshot()), want, rtol=0, atol=1e-12 * max(1.0, np.abs(new_z).max()))
+    # the span runs from the start of the first position's block to the end of the last's
+    a = max(edge for edge in before.bounds if edge < positions[0])
+    b = min(edge for edge in before.bounds if edge >= positions[-1])
+    assert a > 0 and b < m
+    # blocks left of the span are never reworked, only pooled into from the right
+    new_left = _bits(fit, lambda edge: edge <= a)
+    assert len(new_left) > 10
+    assert new_left == _bits(before, lambda edge: edge <= a)[: len(new_left)]
+    old_right = _bits(before, lambda edge: edge > b)
+    assert (_bits(fit, lambda edge: edge > b) == old_right) == (direction == "raise")
+
+
+def _large_inputs():
+    m = 100_000
+    rng = np.random.default_rng(11)
+    steps = np.repeat(rng.integers(0, 21, m // 50) / 20.0, 50)
+    return {
+        "0/1 plateaus": (np.repeat(rng.integers(0, 2, m // 100), 100).astype(float), None),
+        "graded steps": (steps, rng.integers(1, 5, m).astype(float)),
+        "strictly decreasing": (-np.arange(m, dtype=float), None),
+        "strictly increasing": (np.arange(m, dtype=float), None),
+        "log-uniform weights": (rng.normal(0.0, 1.0, m), 10.0 ** rng.uniform(-6.0, 6.0, m)),
+    }
+
+
+@pytest.mark.parametrize("solver", [fit_standard, fit_modified])
+@pytest.mark.parametrize("name", list(_large_inputs()))
+def test_batch_fits_match_scipy_at_large_m(solver, name):
+    z, w = _large_inputs()[name]
+    series = WeightedSeries(z, w)
+    blocks = solver(series)
+    want = scipy_fit(series.z, series.w)
+    assert_allclose(expand(blocks), want, rtol=0, atol=1e-12 * max(1.0, np.abs(z).max()))
+    if name == "strictly decreasing":
+        assert blocks.d == z.size
+    if name == "strictly increasing":
+        assert blocks.d == 1
+
+
+@pytest.mark.parametrize("solver", [fit_standard, fit_modified])
+def test_batch_fits_of_huge_values_match_rescaled_scipy(solver):
+    # scaling by a power of two is exact, and scipy's direct fit overflows here
+    rng = np.random.default_rng(12)
+    z = np.round(rng.uniform(-1.0, 1.0, 100_000), 2) * 1.7e307
+    w = rng.integers(1, 5, z.size).astype(float)
+    blocks = solver(WeightedSeries(z, w))
+    fitted = expand(blocks)
+    assert np.isfinite(fitted).all()
+    want = scipy_fit(z * 2.0**-1000, w) * 2.0**1000
+    assert_allclose(fitted, want, rtol=0, atol=1e-12 * np.abs(z).max())

@@ -250,10 +250,8 @@ class TestMixedSequences:
 _halves = st.integers(-6, 6).map(lambda k: k / 2.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_engine_set_matches_oracle(data):
-    m = data.draw(st.integers(1, 12))
+def _drawn_series(data, max_m):
+    m = data.draw(st.integers(1, max_m))
     z = data.draw(st.lists(_halves, min_size=m, max_size=m))
     w = data.draw(
         st.one_of(
@@ -261,7 +259,15 @@ def test_engine_set_matches_oracle(data):
             st.lists(st.sampled_from([0.5, 1.0, 2.0, 3.0]), min_size=m, max_size=m),
         )
     )
-    fit = BlockFit(WeightedSeries(z, w))
+    return m, WeightedSeries(z, w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_engine_set_matches_oracle(data):
+    m, series = _drawn_series(data, 12)
+    w = series.w
+    fit = BlockFit(series)
     for j, value in data.draw(st.lists(st.tuples(st.integers(1, m), _halves), max_size=15)):
         fit.set(j, value)
         blocks = fit.snapshot()  # rejects means that do not decrease strictly
@@ -269,11 +275,89 @@ def test_engine_set_matches_oracle(data):
         assert_allclose(expand(blocks), want, rtol=0, atol=1e-12)
 
 
+def _batch(data, fit, m):
+    """Strictly increasing positions and new values that raise, lower or move z either way."""
+    positions = sorted(data.draw(st.sets(st.integers(1, m), min_size=1, max_size=m)))
+    direction = data.draw(st.sampled_from(["raise", "lower", "mixed"]))
+    if direction == "mixed":
+        values = [data.draw(_halves) for _ in positions]
+    else:
+        sign = 1.0 if direction == "raise" else -1.0
+        values = [fit.z[j - 1] + sign * data.draw(_halves.filter(lambda d: d > 0)) for j in positions]
+    return positions, values
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_engine_set_many_matches_oracle(data):
+    m, series = _drawn_series(data, 30)
+    w = series.w
+    fit = BlockFit(series)
+    for _ in range(data.draw(st.integers(1, 3))):
+        positions, values = _batch(data, fit, m)
+        fit.set_many(positions, values)
+        assert_array_equal(fit.z[np.array(positions) - 1], values)
+        blocks = fit.snapshot()  # rejects means that do not decrease strictly
+        want = minmax_fit(WeightedSeries(fit.z, w))
+        assert_allclose(expand(blocks), want, rtol=0, atol=1e-12)
+
+
+def test_engine_set_many_pre_pools_nothing_on_a_mixed_batch():
+    # one block of mean 3; raising z3 and lowering z4 splits it, and pooling
+    # the head 1..3 as one unit would give [4/3, 4/3, 4/3, -10]
+    fit = BlockFit(WeightedSeries([0.0, 3.0, 0.0, 9.0]))
+    assert fit.bounds == [0, 4]
+    fit.set_many((3, 4), (1.0, -10.0))
+    assert_array_equal(fit.z, [0.0, 3.0, 1.0, -10.0])
+    assert_allclose(expand(fit.snapshot()), [1.5, 1.5, 1.0, -10.0], rtol=0, atol=1e-12)
+
+
+def test_engine_set_many_of_nothing_changes_nothing():
+    fit = BlockFit(WeightedSeries(MIXED_Z))
+    fit.set_many([], [])
+    fit.set_many(np.array([], dtype=np.int64), np.array([]))
+    assert_array_equal(fit.z, MIXED_Z)
+    assert_array_equal(fit.bounds, MIXED_BOUNDS)
+
+
+def test_engine_set_many_takes_numpy_batches():
+    fit = BlockFit(WeightedSeries(MIXED_Z))
+    fit.set_many(np.array([2, 5, 9]), np.array([0.0, 4.0, -1.0]))
+    want = fit_standard(WeightedSeries(fit.z))
+    assert_array_equal(fit.bounds, want.partition.boundaries)
+    assert_allclose(fit.means, want.means, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "positions, values, error, message",
+    [
+        ((10,), (1.0,), IndexError, r"position 10 is outside 1\.\.9"),
+        ((0,), (1.0,), IndexError, r"position 0 is outside 1\.\.9"),
+        ((2.5,), (9.0,), TypeError, r"position 2\.5 is not an integer"),
+        ((1, "3"), (1.0, 1.0), TypeError, r"position '3' is not an integer"),
+        ((1, 10), (5.0, 1.0), IndexError, r"position 10 is outside 1\.\.9"),
+        ((2, 2), (5.0, 1.0), ValueError, r"increase strictly, got 2 after 2"),
+        ((5, 3), (5.0, 1.0), ValueError, r"increase strictly, got 3 after 5"),
+        ((1, 2), (5.0, np.nan), ValueError, r"value at position 2 must be finite"),
+        ((1, 2), (5.0,), ValueError, r"2 positions but 1 values"),
+    ],
+)
+def test_engine_set_many_names_bad_input_and_changes_nothing(positions, values, error, message):
+    fit = BlockFit(WeightedSeries(MIXED_Z))
+    bounds, means, weights = fit.bounds[:], fit.means[:], fit.weights[:]
+    with pytest.raises(error, match=message):
+        fit.set_many(positions, values)
+    assert_array_equal(fit.z, MIXED_Z)
+    assert (fit.bounds, fit.means, fit.weights) == (bounds, means, weights)
+
+
 def test_engine_set_rejects_bad_positions_and_values():
     fit = BlockFit(WeightedSeries(MIXED_Z))
     for j in (0, -1, MIXED_Z.size + 1):
-        with pytest.raises(IndexError):
+        with pytest.raises(IndexError, match=rf"position {j} is outside 1\.\.9"):
             fit.set(j, 1.0)
+    with pytest.raises(TypeError, match=r"position 2\.5 is not an integer"):
+        fit.set(2.5, 9.0)
     for value in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             fit.set(3, value)

@@ -148,7 +148,6 @@ def cmd_fit(args) -> int:
         for index, value in changes:
             state = update_any(state, index, value)
         blocks = state.blocks
-        fitted = state.fit()
     else:
         if changes:
             z = series.z.copy()
@@ -158,7 +157,7 @@ def cmd_fit(args) -> int:
                 z[index - 1] = value
             series = WeightedSeries(z, series.w)
         blocks = fit_standard(series) if args.variant == "standard" else fit_modified(series)
-        fitted = expand(blocks)
+    fitted = expand(blocks)
 
     payload = {
         "boundaries": blocks.partition.boundaries.tolist(),

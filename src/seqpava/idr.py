@@ -101,7 +101,8 @@ class DistributionFamilyEstimate:
     non-decreasing (a CDF evaluated at increasing thresholds), each column is
     non-increasing (stochastic ordering in the covariate), and the last
     column is all 1. Those numeric invariants are checked by
-    :meth:`validate`; construction checks shapes only.
+    :meth:`validate`; construction checks the shapes, and that covariates
+    and thresholds are finite and increase strictly.
     """
 
     covariates: np.ndarray
@@ -118,8 +119,12 @@ class DistributionFamilyEstimate:
             )
         if thresholds.size == 0:
             raise ValueError("need at least one threshold")
+        if not np.isfinite(thresholds).all() or not np.isfinite(covariates).all():
+            raise ValueError("covariates and thresholds must be finite")
         if not (np.diff(thresholds) > 0).all():
             raise ValueError("thresholds must be strictly increasing")
+        if not (np.diff(covariates) > 0).all():
+            raise ValueError("covariates must be strictly increasing")
         object.__setattr__(self, "cdf", cdf)
         object.__setattr__(self, "thresholds", thresholds)
         object.__setattr__(self, "covariates", covariates)
@@ -135,8 +140,8 @@ class DistributionFamilyEstimate:
     def validate(self) -> None:
         """Check the numeric invariants, raising ValueError on the first failure."""
         cdf = self.cdf
-        if (cdf < 0.0).any() or (cdf > 1.0).any():
-            raise ValueError("cdf entries must lie in [0, 1]")
+        if not ((0.0 <= cdf) & (cdf <= 1.0)).all():  # NaN fails both comparisons
+            raise ValueError("cdf entries must be numbers in [0, 1]")
         if (cdf[:, -1] != 1.0).any():
             raise ValueError("last column must be exactly 1")
         if (np.diff(cdf, axis=1) < 0.0).any():
@@ -152,6 +157,8 @@ class DistributionFamilyEstimate:
         """
         if not 1 <= j <= self.m:
             raise IndexError(f"covariate index must be in 1..{self.m}, got {j}")
+        if np.isnan(y):
+            raise ValueError("threshold y must not be NaN")
         t = int(np.searchsorted(self.thresholds, y, side="right")) - 1
         if t < 0:
             return 0.0

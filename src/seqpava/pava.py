@@ -7,8 +7,11 @@ Two batch solvers produce that representation: :func:`fit_standard` absorbs
 one index at a time and pools backwards whenever adjacent block means stop
 decreasing, while :func:`fit_modified` seeds each new block with a maximal
 constant run of the response vector, which pays off on inputs with long
-plateaus. Both compute the same fit, through :class:`BlockFit`, which also
-updates a fit in place when response values change.
+plateaus. Both compute the same fit, through :class:`BlockFit`, which is
+also the way to update a fit in place when response values change:
+:meth:`BlockFit.set_many` reworks only the span the changes touch, and
+:meth:`BlockFit.snapshot` copies the current fit out as
+:class:`FittedBlocks`.
 
 Public index arguments are 1-based; block ``s`` of a partition covers
 positions ``b[s-1]+1 .. b[s]`` of the boundary vector ``b`` with ``b[0] == 0``.
@@ -403,11 +406,7 @@ class BlockFit:
 
     def snapshot(self) -> FittedBlocks:
         """The current fit as an immutable :class:`FittedBlocks`."""
-        return FittedBlocks(
-            BlockPartition(np.array(self.bounds, dtype=np.int64)),
-            np.array(self.means),
-            np.array(self.weights),
-        )
+        return FittedBlocks(BlockPartition(self.bounds), self.means, self.weights)
 
 
 def fit_standard(series: WeightedSeries) -> FittedBlocks:

@@ -10,10 +10,19 @@ it, through :meth:`~seqpava.pava.BlockFit.set`, the same engine and pooling
 kernel behind :func:`~seqpava.pava.fit_modified`. The result is exactly the
 fit a batch solver computes on the modified vector, at a fraction of the
 work.
+
+This module is the persistent wrapper around that engine: every update
+returns a new :class:`SequentialState` and leaves the one it started from
+intact, so states can branch. A state holds one fit, its engine's; its
+:attr:`~SequentialState.blocks` are built from it when first read, so an
+update whose blocks nobody reads costs no snapshot. To update one fit in
+place, without keeping the earlier ones, use
+:class:`~seqpava.pava.BlockFit` directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +37,6 @@ class SequentialState:
 
     ``engine`` is the :class:`~seqpava.pava.BlockFit` that holds ``z``, ``w``
     and their fit; a state never changes it, and an update works on a copy.
-    ``blocks`` is the engine's fit, taken when the state is made.
     ``provenance`` records how the state was produced: "initial" from a
     fresh fit, or "abridged" from an update of one component, in either
     direction.
@@ -36,10 +44,11 @@ class SequentialState:
 
     engine: BlockFit
     provenance: str = "initial"
-    blocks: FittedBlocks = field(init=False)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "blocks", self.engine.snapshot())
+    @cached_property
+    def blocks(self) -> FittedBlocks:
+        """The engine's fit as :class:`~seqpava.pava.FittedBlocks`, built when first read."""
+        return self.engine.snapshot()
 
     @property
     def z(self) -> np.ndarray:

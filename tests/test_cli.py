@@ -147,6 +147,29 @@ class TestFit:
         assert out_a == out_b
         assert json.loads(out_a)["boundaries"] == [0, 2, 3, 8, 20]
 
+    def test_abridged_changes_go_through_public_updates(
+        self, capsys, monkeypatch, tmp_path, mixed_file
+    ):
+        # the benchmark's traced fit times the spans of these two names
+        calls = {"init": 0, "update_any": 0}
+
+        def counted(name):
+            fn = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        changes = [(5, 1.0), (2, 0.0), (5, 1.0), (9, -1.0)]
+        changes_path = write(tmp_path / "c.csv", "".join(f"{i},{v!r}\n" for i, v in changes))
+        argv = ("fit", mixed_file, "--variant", "abridged", "--changes", changes_path)
+        assert run_cli(capsys, *argv)[0] == 0
+        assert calls == {"init": 1, "update_any": len(changes)}
+
     def test_abridged_decrease_of_huge_values_stays_finite(self, capsys, tmp_path):
         # lowering position 1 keeps 1..3 pooled; its weighted sum overflows
         base_path = write(tmp_path / "s.txt", "1e308\n1e308\n1e308\n")
@@ -246,6 +269,22 @@ class TestQuantiles:
         for line in out.strip().splitlines()[1:]:
             values = [float(v) for v in line.split(",")][1:]
             assert values == sorted(values)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("y,1,2\n0,nan,0.5\n1,1,1\n", "cdf entries must be numbers in [0, 1]"),
+            ("y,1,inf\n0,1,0.5\n1,1,1\n", "must be finite"),
+            ("y,1,2\n-inf,1,0.5\n1,1,1\n", "must be finite"),
+            ("y,2,1\n0,0.5,0\n1,1,1\n", "covariates must be strictly increasing"),
+        ],
+    )
+    def test_invalid_estimate_exits_1(self, capsys, tmp_path, text, message):
+        path = write(tmp_path / "est.csv", text)
+        code, out, err = run_cli(capsys, "quantiles", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+        assert message in err
 
     @pytest.mark.parametrize("betas", ["0", "1.5", "-0.2", "abc", ""])
     def test_bad_betas(self, capsys, estimate_file, betas):

@@ -222,6 +222,10 @@ class TestEstimateQueries:
             with pytest.raises(ValueError):
                 small_estimate.quantile(1, beta)
 
+    def test_cdf_at_rejects_nan(self, small_estimate):
+        with pytest.raises(ValueError, match="NaN"):
+            small_estimate.cdf_at(1, np.nan)
+
     def test_index_errors(self, small_estimate):
         with pytest.raises(IndexError):
             small_estimate.cdf_at(0, 1.0)
@@ -251,12 +255,30 @@ class TestEstimateValidation:
             )
 
     @pytest.mark.parametrize(
+        "covariates, thresholds, message",
+        [
+            ([1.0, np.inf], [0.0, 1.0], "finite"),
+            ([np.nan, 2.0], [0.0, 1.0], "finite"),
+            ([1.0, 2.0], [0.0, np.inf], "finite"),
+            ([1.0, 2.0], [-np.inf, 1.0], "finite"),
+            ([1.0, 2.0], [np.nan], "finite"),
+            ([2.0, 1.0], [0.0, 1.0], "covariates must be strictly increasing"),
+            ([1.0, 1.0], [0.0, 1.0], "covariates must be strictly increasing"),
+        ],
+    )
+    def test_rejects_bad_grid(self, covariates, thresholds, message):
+        cdf = np.ones((len(covariates), len(thresholds)))
+        with pytest.raises(ValueError, match=message):
+            DistributionFamilyEstimate(np.array(covariates), np.array(thresholds), cdf)
+
+    @pytest.mark.parametrize(
         "cdf",
         [
             [[0.5, 0.9], [0.4, 1.0]],  # last column not 1
             [[1.2, 1.0], [0.4, 1.0]],  # out of range
             [[0.5, 1.0], [0.6, 1.0]],  # column increasing in the covariate
             [[1.0, 0.5], [0.4, 0.4]],  # row decreasing in the threshold
+            [[np.nan, 1.0], [0.5, 1.0]],  # NaN, which every comparison lets through
         ],
     )
     def test_validate_rejects_bad_matrix(self, cdf):

@@ -121,6 +121,41 @@ class TestUpdateAny:
         assert_array_equal(before.z, MIXED_Z)
         assert_array_equal(before.engine.bounds, MIXED_BOUNDS)
 
+    def test_updates_build_blocks_only_when_read(self, monkeypatch):
+        snapshots = []
+        snapshot = BlockFit.snapshot
+
+        def counted(self):
+            snapshots.append(self)
+            return snapshot(self)
+
+        monkeypatch.setattr(BlockFit, "snapshot", counted)
+        rng = np.random.default_rng(7)
+        z = rng.integers(-3, 4, size=30).astype(float)
+        state = init(WeightedSeries(z))
+        branch = state
+        for step in range(50):
+            j = int(rng.integers(1, z.size + 1))
+            if step % 2:
+                value = float(rng.integers(-3, 7))
+                state = update_any(state, j, value)
+            else:
+                value = state.z[j - 1] + float(rng.integers(1, 4))
+                state = update_increase(state, j, value)
+            z[j - 1] = value
+            if step == 10:
+                branch = state
+        assert snapshots == []
+        blocks = state.blocks
+        assert snapshots == [state.engine]
+        fitted = state.fit()
+        assert state.blocks is blocks
+        assert snapshots == [state.engine]
+        assert_allclose(fitted, expand(fit_standard(WeightedSeries(z))), rtol=0, atol=1e-12)
+        want = fit_standard(WeightedSeries(branch.z))
+        assert_array_equal(branch.blocks.partition.boundaries, want.partition.boundaries)
+        assert_allclose(branch.fit(), expand(want), rtol=0, atol=1e-12)
+
     @pytest.mark.parametrize(
         "j, value, want",
         [

@@ -9,6 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -18,53 +20,76 @@ from .pava import WeightedSeries, expand, fit_modified, fit_standard
 from .sequential import init, update_any
 
 DEFAULT_BETAS = "0.1,0.25,0.5,0.75,0.9"
+_CHUNK_CELLS = 1 << 14  # cells per write of _write_csv
 
 
 class InputFormatError(Exception):
     """Malformed input file; the message names the offending line."""
 
 
-def _scan(path: str) -> list[tuple[int, str]]:
-    """The line number and stripped text of each non-blank line of ``path``."""
+def _lines(path: str):
+    """The stripped lines of ``path``, read in one call; a line ends in LF, CR LF or CR."""
     with open(path) as fh:
-        return [(lineno, text) for lineno, text in enumerate(map(str.strip, fh), 1) if text]
+        return map(str.strip, fh.read().split("\n"))
 
 
-def _parse(path: str, lines: list[tuple[int, str]], width: int) -> np.ndarray:
+def _scan(path: str) -> list[str]:
+    """The non-blank lines of ``path``, stripped."""
+    return list(filter(None, _lines(path)))
+
+
+def _at(path: str, index: int) -> str:
+    """``<path>: line <number>`` of the ``index``-th (0-based) line that ``_scan`` returns."""
+    numbers = [lineno for lineno, text in enumerate(_lines(path), 1) if text]
+    return f"{path}: line {numbers[index]}"
+
+
+def _parse(path: str, lines: list[str], width: int, first: int = 0) -> np.ndarray:
     """The real numbers of ``lines``, ``width`` comma-separated ones each, as rows.
 
-    All lines are converted in one pass; only if that fails are they
-    rescanned one by one, to name the first bad line.
+    ``lines`` are the scanned lines of ``path`` from index ``first`` on. All
+    are converted in one pass; only if that fails are they rescanned one by
+    one, to name the first bad line.
     """
-    texts = [text for _, text in lines]
-    if all(text.count(",") == width - 1 for text in texts):
-        fields = ",".join(texts).split(",")
+    if set(map(str.count, lines, repeat(","))) <= {width - 1}:
+        fields = chain.from_iterable(map(str.split, lines, repeat(",")))
         try:
-            return np.fromiter(map(float, fields), float, len(fields)).reshape(-1, width)
+            return np.fromiter(map(float, fields), float, len(lines) * width).reshape(-1, width)
         except ValueError:
             pass
-    for lineno, text in lines:
+    for index, text in enumerate(lines, first):
         try:
             row = [float(field) for field in text.split(",")]
         except ValueError as exc:
-            raise InputFormatError(f"{path}: line {lineno}: {exc}") from None
+            raise InputFormatError(f"{_at(path, index)}: {exc}") from None
         if len(row) != width:
-            raise InputFormatError(f"{path}: line {lineno}: {len(row)} fields, expected {width}")
+            raise InputFormatError(f"{_at(path, index)}: {len(row)} fields, expected {width}")
     return np.empty((0, width))  # reached only when there are no lines
 
 
-def _write_csv(path: str, header: str, rows) -> None:
-    """Write ``header``, then each row of reals with 17 significant digits, to ``path`` or stdout.
+def _write_csv(path: str, header: str, table: np.ndarray) -> None:
+    """Write ``header``, then the rows of the 2-D float ``table``, to ``path`` or stdout.
 
-    The header names the columns, so it fixes how many reals a row holds.
+    Each distinct value is formatted once with 17 significant digits, keyed
+    by its bit pattern so that ``-0.0`` and ``0.0`` stay apart. Rows are then
+    written a chunk of about ``_CHUNK_CELLS`` cells at a time, by indexing
+    those strings.
     """
-    template = ",".join(["%.17g"] * (header.count(",") + 1)) + "\n"
-    text = header + "\n" + "".join([template % tuple(row) for row in rows])
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    rows, width = table.shape
+    bits = table.view(np.uint64)
+    # sort and drop repeats: np.unique hashes integers, which is far slower here
+    keys = np.sort(bits, axis=None)
+    keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    text = np.array(["%.17g" % value for value in keys.view(float).tolist()], dtype=object)
+    step = max(1, _CHUNK_CELLS // width)
+    cells = np.empty((min(step, rows), 2 * width), dtype=object)
+    cells[:, 1::2] = [","] * (width - 1) + ["\n"]  # the separator after each value
+    with open(path, "w") if path != "-" else nullcontext(sys.stdout) as fh:
+        fh.write(header + "\n")
+        for lo in range(0, rows, step):
+            chunk = cells[: min(step, rows - lo)]
+            chunk[:, ::2] = text[np.searchsorted(keys, bits[lo : lo + step])]
+            fh.write("".join(chunk.ravel().tolist()))
 
 
 def _read_series(path: str) -> np.ndarray:
@@ -80,22 +105,22 @@ def _read_observations(path: str) -> np.ndarray:
     lines = _scan(path)
     if len(lines) < 2:
         raise InputFormatError(f"{path}: expected a header 'x,y' and at least one row")
-    lineno, header = lines[0]
+    header = lines[0]
     if header.replace(" ", "").lower() != "x,y":
-        raise InputFormatError(f"{path}: line {lineno}: expected header 'x,y', got {header!r}")
-    return _parse(path, lines[1:], 2)
+        raise InputFormatError(f"{_at(path, 0)}: expected header 'x,y', got {header!r}")
+    return _parse(path, lines[1:], 2, 1)
 
 
 def _read_changes(path: str) -> list[tuple[int, float]]:
     """Read ``index,value`` updates, one per line, with integer 1-based indices; may be empty."""
     lines = _scan(path)
     indices = []
-    for lineno, text in lines:
+    for index, text in enumerate(lines):
         try:
             indices.append(int(text.partition(",")[0]))
         except ValueError:
-            _parse(path, lines[: len(indices)], 2)  # a malformed earlier line is reported first
-            raise InputFormatError(f"{path}: line {lineno}: not an integer index") from None
+            _parse(path, lines[:index], 2)  # a malformed earlier line is reported first
+            raise InputFormatError(f"{_at(path, index)}: not an integer index") from None
     return list(zip(indices, _parse(path, lines, 2)[:, 1].tolist()))
 
 
@@ -104,12 +129,11 @@ def _read_estimate(path: str) -> DistributionFamilyEstimate:
     lines = _scan(path)
     if len(lines) < 2:
         raise InputFormatError(f"{path}: expected a header 'y,<covariates>' and at least one row")
-    lineno, header = lines[0]
-    label, _, labels = header.partition(",")
+    label, _, labels = lines[0].partition(",")
     if label.strip().lower() != "y" or not labels:
-        raise InputFormatError(f"{path}: line {lineno}: expected a header starting with 'y,'")
-    covariates = _parse(path, [(lineno, labels)], labels.count(",") + 1)[0]
-    rows = _parse(path, lines[1:], covariates.size + 1)
+        raise InputFormatError(f"{_at(path, 0)}: expected a header starting with 'y,'")
+    covariates = _parse(path, [labels], labels.count(",") + 1)[0]
+    rows = _parse(path, lines[1:], covariates.size + 1, 1)
     estimate = DistributionFamilyEstimate(covariates, rows[:, 0], rows[:, 1:].T)
     estimate.validate()
     return estimate
@@ -174,9 +198,7 @@ def cmd_idr(args) -> int:
     estimate = fit_family(group(pairs), args.variant)
     estimate.validate()
     header = ",".join(["y", *("%.17g" % x for x in estimate.covariates.tolist())])
-    # cdf.T holds one contiguous row per threshold, as fit_family filled it
-    rows = ((t, *row.tolist()) for t, row in zip(estimate.thresholds.tolist(), estimate.cdf.T))
-    _write_csv(args.output, header, rows)
+    _write_csv(args.output, header, np.column_stack((estimate.thresholds, estimate.cdf.T)))
     return 0
 
 
@@ -185,18 +207,15 @@ def cmd_quantiles(args) -> int:
     betas = _parse_betas(args.betas)
     # header labels use the shortest round-trip form; data cells stay at 17 digits
     header = ",".join(["x", *map(repr, betas)])
-    rows = [
-        (x, *(estimate.quantile(j, beta) for beta in betas))
-        for j, x in enumerate(estimate.covariates.tolist(), 1)
-    ]
-    _write_csv(args.output, header, rows)
+    table = np.column_stack((estimate.covariates, estimate.quantiles(betas)))
+    _write_csv(args.output, header, table)
     return 0
 
 
 def cmd_gen(args) -> int:
     config = ExperimentConfig(n=args.n, replications=1, seed=args.seed)
     pairs = generate_dataset(config, 0)
-    _write_csv(args.output, "x,y", pairs.tolist())
+    _write_csv(args.output, "x,y", pairs)
     return 0
 
 

@@ -168,11 +168,32 @@ class DistributionFamilyEstimate:
         """Smallest threshold where the CDF estimate at covariate ``j`` reaches ``beta``."""
         if not 1 <= j <= self.m:
             raise IndexError(f"covariate index must be in 1..{self.m}, got {j}")
+        return float(self._first_reaching(j - 1, j, beta)[0])
+
+    def quantiles(self, betas) -> np.ndarray:
+        """The quantile curves as an (m, len(betas)) array.
+
+        Entry ``[j - 1, i]`` equals ``quantile(j, betas[i])``. Each level is one
+        pass over all rows; a row that never reaches a level raises
+        ValueError, as :meth:`quantile` does.
+        """
+        curves = np.empty((self.m, len(betas)))
+        for i, beta in enumerate(betas):
+            curves[:, i] = self._first_reaching(0, self.m, beta)
+        return curves
+
+    def _first_reaching(self, lo: int, hi: int, beta: float) -> np.ndarray:
+        """For rows ``lo..hi-1`` of ``cdf``, the smallest threshold whose value reaches ``beta``."""
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"beta must satisfy 0 < beta <= 1, got {beta}")
-        row = self.cdf[j - 1]
+        reached = self.cdf[lo:hi] >= beta
         # argmax rather than searchsorted: robust even if a row wiggles at ulp level
-        return float(self.thresholds[int(np.argmax(row >= beta))])
+        first = reached.argmax(axis=1)
+        missed = np.flatnonzero(~reached[np.arange(hi - lo), first])
+        if missed.size:
+            j = lo + int(missed[0]) + 1
+            raise ValueError(f"the CDF estimate at covariate index {j} never reaches beta = {beta}")
+        return self.thresholds[first]
 
 
 def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFamilyEstimate:

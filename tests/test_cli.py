@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from seqpava import fit_family, group
+from seqpava import DistributionFamilyEstimate, fit_family, group
 from seqpava import cli
 from seqpava.cli import main
 
@@ -286,6 +286,23 @@ class TestQuantiles:
         assert err.startswith("error:")
         assert message in err
 
+    def test_curves_come_from_one_quantiles_call(self, capsys, monkeypatch, estimate_file):
+        # one vectorized call for all levels, no per-cell quantile lookups
+        def per_cell(*args):
+            raise AssertionError("quantile called")
+
+        calls = []
+        quantiles = DistributionFamilyEstimate.quantiles
+        monkeypatch.setattr(DistributionFamilyEstimate, "quantile", per_cell)
+        monkeypatch.setattr(
+            DistributionFamilyEstimate,
+            "quantiles",
+            lambda est, betas: calls.append(list(betas)) or quantiles(est, betas),
+        )
+        _, est_path = estimate_file
+        assert run_cli(capsys, "quantiles", est_path, "--betas", "0.5,1")[0] == 0
+        assert calls == [[0.5, 1.0]]
+
     @pytest.mark.parametrize("betas", ["0", "1.5", "-0.2", "abc", ""])
     def test_bad_betas(self, capsys, estimate_file, betas):
         _, est_path = estimate_file
@@ -473,6 +490,10 @@ class TestFileFormat:
             ("fit", "1\n\n\nabc\n", 4),
             ("idr", "\nx,y\n\n1,2\n\n1,abc\n", 6),
             ("quantiles", "y,1\n\n0,1\n\n1,1,1\n", 5),
+            ("fit", "1\r\r\rabc\r", 4),
+            ("idr", "\rx,y\r\r1,2\r\r1,abc\r", 6),
+            ("quantiles", "y,1\r\r0,1\r\r1,1,1\r", 5),
+            ("idr", "x,y\r\n\r\nx,y\r\n", 3),
         ],
     )
     def test_blank_lines_count_in_line_numbers(self, capsys, tmp_path, command, text, line):
@@ -481,21 +502,37 @@ class TestFileFormat:
         assert f"line {line}:" in err
 
     def test_crlf_line_endings(self, capsys, tmp_path):
-        obs = tmp_path / "obs.csv"
-        obs.write_bytes(SIX_ROWS.replace("\n", "\r\n").encode())
-        assert run_cli(capsys, "idr", str(obs)) == (0, SIX_ESTIMATE, "")
-        est = tmp_path / "est.csv"
-        est.write_bytes(SIX_ESTIMATE.replace("\n", "\r\n").encode())
-        assert run_cli(capsys, "quantiles", str(est)) == (0, SIX_QUANTILES, "")
-        series, weights, changes = tmp_path / "z.txt", tmp_path / "w.txt", tmp_path / "c.csv"
-        series.write_bytes(b"1\r\n3\r\n")
-        weights.write_bytes(b"1\r\n3\r\n")
-        changes.write_bytes(b"1,4\r\n")
-        code, out, _ = run_cli(
-            capsys, "fit", str(series), "--weights", str(weights), "--changes", str(changes)
+        for end in ("\r\n", "\r"):  # Windows and old Mac OS line endings
+            obs = tmp_path / "obs.csv"
+            obs.write_bytes(SIX_ROWS.replace("\n", end).encode())
+            assert run_cli(capsys, "idr", str(obs)) == (0, SIX_ESTIMATE, "")
+            est = tmp_path / "est.csv"
+            est.write_bytes(SIX_ESTIMATE.replace("\n", end).encode())
+            assert run_cli(capsys, "quantiles", str(est)) == (0, SIX_QUANTILES, "")
+            series, weights, changes = tmp_path / "z.txt", tmp_path / "w.txt", tmp_path / "c.csv"
+            series.write_bytes(f"1{end}3{end}".encode())
+            weights.write_bytes(f"1{end}3{end}".encode())
+            changes.write_bytes(f"1,4{end}".encode())
+            code, out, _ = run_cli(
+                capsys, "fit", str(series), "--weights", str(weights), "--changes", str(changes)
+            )
+            assert code == 0
+            assert json.loads(out)["fit"] == [4.0, 3.0]
+
+    def test_write_csv_matches_per_cell_formatting(self, capsys, tmp_path):
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 3.0, -7.0, 0.1, 1 / 3]
+        # more cells than one write of the writer, so rows span several writes
+        table = np.random.default_rng(5).choice(special, size=(30_000, 3))
+        table[:2, 0] = [-0.0, 0.0]
+        expected = "a,b,c\n" + "".join(
+            ",".join("%.17g" % value for value in row) + "\n" for row in table.tolist()
         )
-        assert code == 0
-        assert json.loads(out)["fit"] == [4.0, 3.0]
+        assert expected.startswith("a,b,c\n-0,")
+        path = tmp_path / "table.csv"
+        cli._write_csv(str(path), "a,b,c", table)
+        assert path.read_text() == expected
+        cli._write_csv("-", "a,b,c", table)
+        assert capsys.readouterr().out == expected
 
     def test_bad_weights_line(self, capsys, tmp_path):
         series = write(tmp_path / "z.txt", "0\n1\n2\n")

@@ -218,9 +218,24 @@ class TestEstimateQueries:
             assert est.quantile(1, beta) == 5.0
 
     def test_quantile_rejects_bad_beta(self, small_estimate):
-        for beta in (0.0, -1.0, 1.5):
-            with pytest.raises(ValueError):
+        for beta in (0.0, -1.0, 1.5, np.nan):
+            with pytest.raises(ValueError) as single:
                 small_estimate.quantile(1, beta)
+            with pytest.raises(ValueError) as curves:
+                small_estimate.quantiles([0.5, beta])
+            assert str(curves.value) == str(single.value)
+
+    def test_quantile_raises_when_row_never_reaches_level(self):
+        est = DistributionFamilyEstimate([1.0], [0.0, 1.0], [[0.2, 0.5]])
+        message = "covariate index 1 never reaches beta = 0.9"
+        with pytest.raises(ValueError, match=message):
+            est.quantile(1, 0.9)
+        with pytest.raises(ValueError, match=message):
+            est.quantiles([0.5, 0.9])
+        assert est.quantile(1, 0.5) == 1.0
+        est = DistributionFamilyEstimate([1.0, 2.0], [0.0, 1.0], [[0.5, 1.0], [0.2, 0.5]])
+        with pytest.raises(ValueError, match="covariate index 2 never reaches beta = 0.9"):
+            est.quantiles([0.9])
 
     def test_cdf_at_rejects_nan(self, small_estimate):
         with pytest.raises(ValueError, match="NaN"):
@@ -241,6 +256,38 @@ class TestEstimateQueries:
             assert quantiles == sorted(quantiles)
             for beta, q in zip(betas, quantiles):
                 assert est.cdf_at(j, q) >= beta
+
+
+def _tied_pairs(rng):
+    """Many observations on few integer covariates, responses on 20 grades."""
+    x = rng.integers(1, 41, size=3000)
+    return np.column_stack((x, rng.binomial(19, x / 41.0)))
+
+
+def _graded_pairs(rng):
+    """Distinct covariates, responses on 20 grades."""
+    x = np.sort(rng.uniform(0.0, 1.0, size=400))
+    return np.column_stack((x, rng.binomial(19, 0.05 + 0.9 * x)))
+
+
+QUANTILE_INPUTS = {
+    **{
+        f"gamma{s}": generate_dataset(ExperimentConfig(n=300, replications=1, seed=s), 0)
+        for s in range(10)
+    },
+    "tied": _tied_pairs(np.random.default_rng(1)),
+    "graded": _graded_pairs(np.random.default_rng(2)),
+}
+
+
+@pytest.mark.parametrize("pairs", QUANTILE_INPUTS.values(), ids=QUANTILE_INPUTS.keys())
+def test_quantiles_equal_quantile_cell_by_cell(pairs):
+    est = fit_family(group(pairs))
+    betas = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
+    expected = [[est.quantile(j, beta) for beta in betas] for j in range(1, est.m + 1)]
+    curves = est.quantiles(betas)
+    assert curves.shape == (est.m, len(betas))
+    assert curves.tolist() == expected
 
 
 class TestEstimateValidation:

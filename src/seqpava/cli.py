@@ -9,8 +9,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from contextlib import nullcontext
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -47,16 +47,10 @@ def _at(path: str, index: int) -> str:
 def _parse(path: str, lines: list[str], width: int, first: int = 0) -> np.ndarray:
     """The real numbers of ``lines``, ``width`` comma-separated ones each, as rows.
 
-    ``lines`` are the scanned lines of ``path`` from index ``first`` on. All
-    are converted in one pass; only if that fails are they rescanned one by
-    one, to name the first bad line.
+    ``lines`` are the scanned lines of ``path`` from index ``first`` on. Each
+    field is converted with ``float``; the first bad line is named.
     """
-    if set(map(str.count, lines, repeat(","))) <= {width - 1}:
-        fields = chain.from_iterable(map(str.split, lines, repeat(",")))
-        try:
-            return np.fromiter(map(float, fields), float, len(lines) * width).reshape(-1, width)
-        except ValueError:
-            pass
+    rows = []
     for index, text in enumerate(lines, first):
         try:
             row = [float(field) for field in text.split(",")]
@@ -64,51 +58,99 @@ def _parse(path: str, lines: list[str], width: int, first: int = 0) -> np.ndarra
             raise InputFormatError(f"{_at(path, index)}: {exc}") from None
         if len(row) != width:
             raise InputFormatError(f"{_at(path, index)}: {len(row)} fields, expected {width}")
-    return np.empty((0, width))  # reached only when there are no lines
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, width)
 
 
-def _write_csv(path: str, header: str, table: np.ndarray) -> None:
-    """Write ``header``, then the rows of the 2-D float ``table``, to ``path`` or stdout.
+def _load(path: str, header: bool) -> tuple[str, np.ndarray | None]:
+    """The header of ``path`` and the rows after it, as numpy's C reader parses them.
 
-    Each distinct value is formatted once with 17 significant digits, keyed
-    by its bit pattern so that ``-0.0`` and ``0.0`` stay apart. Rows are then
-    written a chunk of about ``_CHUNK_CELLS`` cells at a time, by indexing
-    those strings.
+    The header is the first non-blank line, stripped, or ``""`` when
+    ``header`` is false. The rows are None when numpy refuses them or finds
+    none; callers then rescan the lines with :func:`_rows`, which names the
+    first bad one. numpy accepts no number that ``float`` refuses, so both
+    give the same rows. numpy gets the open file, not the path, so that it
+    decompresses nothing.
     """
-    rows, width = table.shape
-    bits = table.view(np.uint64)
+    first = ""
+    with open(path) as fh:
+        try:
+            while header and not first:
+                line = fh.readline()
+                if not line:
+                    return first, None
+                first = line.strip()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
+        except ValueError:  # a bad field, ragged rows or undecodable text
+            return first, None
+    return first, rows if rows.shape[0] else None
+
+
+def _rows(path: str, rows: np.ndarray | None, width: int, first: int) -> np.ndarray:
+    """``rows`` if numpy read them ``width`` wide, else the scanned lines from index ``first`` on, parsed."""
+    if rows is not None and rows.shape[1] == width:
+        return rows
+    return _parse(path, _scan(path)[first:], width, first)
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of the 1-D ``keys``, in increasing order; sorts ``keys`` in place."""
     # sort and drop repeats: np.unique hashes integers, which is far slower here
-    keys = np.sort(bits, axis=None)
-    keys = keys[np.append(True, keys[1:] != keys[:-1])]
-    text = np.array(["%.17g" % value for value in keys.view(float).tolist()], dtype=object)
+    keys.sort()
+    return keys[np.append(True, keys[1:] != keys[:-1])]
+
+
+def _write_csv(path: str, header: str, *blocks: np.ndarray) -> None:
+    """Write ``header``, then rows of the 2-D float ``blocks`` side by side, to ``path`` or stdout.
+
+    Row ``i`` is row ``i`` of every block in turn, so a leading column needs
+    no copy of the table beside it. Each distinct value is formatted once
+    with 17 significant digits, keyed by its bit pattern so that ``-0.0``
+    and ``0.0`` stay apart. Rows are then written a chunk of about
+    ``_CHUNK_CELLS`` cells at a time, by indexing those strings.
+    """
+    bits = [block.view(np.uint64) for block in blocks]
+    rows = bits[0].shape[0]
+    width = sum(part.shape[1] for part in bits)
     step = max(1, _CHUNK_CELLS // width)
+    # distinct values chunk by chunk, so that no sorted copy of the table is made
+    found = [np.empty(0, np.uint64)]
+    for lo in range(0, rows, step):
+        found.append(_distinct(np.concatenate([part[lo : lo + step].ravel() for part in bits])))
+    keys = _distinct(np.concatenate(found))
+    text = np.array(["%.17g" % value for value in keys.view(float).tolist()], dtype=object)
     cells = np.empty((min(step, rows), 2 * width), dtype=object)
     cells[:, 1::2] = [","] * (width - 1) + ["\n"]  # the separator after each value
     with open(path, "w") if path != "-" else nullcontext(sys.stdout) as fh:
         fh.write(header + "\n")
         for lo in range(0, rows, step):
             chunk = cells[: min(step, rows - lo)]
-            chunk[:, ::2] = text[np.searchsorted(keys, bits[lo : lo + step])]
+            column = 0
+            for part in bits:
+                end = column + 2 * part.shape[1]
+                chunk[:, column:end:2] = text[np.searchsorted(keys, part[lo : lo + step])]
+                column = end
             fh.write("".join(chunk.ravel().tolist()))
 
 
 def _read_series(path: str) -> np.ndarray:
     """Read one real number per line."""
-    lines = _scan(path)
-    if not lines:
+    _, rows = _load(path, header=False)
+    if rows is None and not _scan(path):
         raise InputFormatError(f"{path}: no values found")
-    return _parse(path, lines, 1).ravel()
+    return _rows(path, rows, 1, 0).ravel()
 
 
 def _read_observations(path: str) -> np.ndarray:
     """Read a CSV of observations with header ``x,y``."""
-    lines = _scan(path)
-    if len(lines) < 2:
+    header, rows = _load(path, header=True)
+    if rows is None and len(_scan(path)) < 2:
         raise InputFormatError(f"{path}: expected a header 'x,y' and at least one row")
-    header = lines[0]
     if header.replace(" ", "").lower() != "x,y":
         raise InputFormatError(f"{_at(path, 0)}: expected header 'x,y', got {header!r}")
-    return _parse(path, lines[1:], 2, 1)
+    return _rows(path, rows, 2, 1)
 
 
 def _read_changes(path: str) -> list[tuple[int, float]]:
@@ -121,19 +163,20 @@ def _read_changes(path: str) -> list[tuple[int, float]]:
         except ValueError:
             _parse(path, lines[:index], 2)  # a malformed earlier line is reported first
             raise InputFormatError(f"{_at(path, index)}: not an integer index") from None
-    return list(zip(indices, _parse(path, lines, 2)[:, 1].tolist()))
+    _, rows = _load(path, header=False)
+    return list(zip(indices, _rows(path, rows, 2, 0)[:, 1].tolist()))
 
 
 def _read_estimate(path: str) -> DistributionFamilyEstimate:
     """Read an estimate CSV written by the ``idr`` command."""
-    lines = _scan(path)
-    if len(lines) < 2:
+    header, rows = _load(path, header=True)
+    if rows is None and len(_scan(path)) < 2:
         raise InputFormatError(f"{path}: expected a header 'y,<covariates>' and at least one row")
-    label, _, labels = lines[0].partition(",")
+    label, _, labels = header.partition(",")
     if label.strip().lower() != "y" or not labels:
         raise InputFormatError(f"{_at(path, 0)}: expected a header starting with 'y,'")
     covariates = _parse(path, [labels], labels.count(",") + 1)[0]
-    rows = _parse(path, lines[1:], covariates.size + 1, 1)
+    rows = _rows(path, rows, covariates.size + 1, 1)
     estimate = DistributionFamilyEstimate(covariates, rows[:, 0], rows[:, 1:].T)
     estimate.validate()
     return estimate
@@ -198,7 +241,7 @@ def cmd_idr(args) -> int:
     estimate = fit_family(group(pairs), args.variant)
     estimate.validate()
     header = ",".join(["y", *("%.17g" % x for x in estimate.covariates.tolist())])
-    _write_csv(args.output, header, np.column_stack((estimate.thresholds, estimate.cdf.T)))
+    _write_csv(args.output, header, estimate.thresholds[:, None], estimate.cdf.T)
     return 0
 
 
@@ -207,8 +250,7 @@ def cmd_quantiles(args) -> int:
     betas = _parse_betas(args.betas)
     # header labels use the shortest round-trip form; data cells stay at 17 digits
     header = ",".join(["x", *map(repr, betas)])
-    table = np.column_stack((estimate.covariates, estimate.quantiles(betas)))
-    _write_csv(args.output, header, table)
+    _write_csv(args.output, header, estimate.covariates[:, None], estimate.quantiles(betas))
     return 0
 
 

@@ -144,9 +144,10 @@ class DistributionFamilyEstimate:
             raise ValueError("cdf entries must be numbers in [0, 1]")
         if (cdf[:, -1] != 1.0).any():
             raise ValueError("last column must be exactly 1")
-        if (np.diff(cdf, axis=1) < 0.0).any():
+        # comparing neighbours, not their differences, allocates no float table
+        if (cdf[:, 1:] < cdf[:, :-1]).any():
             raise ValueError("rows must be non-decreasing in the threshold")
-        if (np.diff(cdf, axis=0) > 0.0).any():
+        if (cdf[1:] > cdf[:-1]).any():
             raise ValueError("columns must be non-increasing in the covariate")
 
     def cdf_at(self, j: int, y: float) -> float:
@@ -215,19 +216,23 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
     w = obs.weights
     w_list = w.tolist()
 
-    order = np.lexsort((obs.group_index, obs.y))
-    groups = obs.group_index[order]
-    y_sorted = obs.y[order]
-    new_y = np.empty(n, dtype=bool)
-    new_y[0] = True
-    np.not_equal(y_sorted[1:], y_sorted[:-1], out=new_y[1:])
-    thresholds = y_sorted[new_y]
-    is_start = new_y.copy()
-    is_start[1:] |= groups[1:] != groups[:-1]
-    starts = np.flatnonzero(is_start)
-    cell_groups = groups[starts]
+    y = np.sort(obs.y)
+    thresholds = y[np.append(True, y[1:] != y[:-1])]
+    zeros = np.flatnonzero(obs.y == 0.0)
+    if zeros.size:
+        # -0.0 == 0.0, so both fall in one threshold; it keeps the sign of
+        # the first zero in (group, input row) order, whichever the sort put first
+        first = zeros[obs.group_index[zeros].argmin()]
+        thresholds[np.searchsorted(thresholds, 0.0)] = obs.y[first]
+    # one key per observation, ordered by response threshold, then group
+    keys = np.searchsorted(thresholds, obs.y)
+    keys *= m
+    keys += obs.group_index.astype(np.int64, copy=False)
+    keys.sort()
+    starts = np.flatnonzero(np.append(True, keys[1:] != keys[:-1]))
+    cell_levels, cell_groups = np.divmod(keys[starts], m)
     # threshold t owns cells edges[t]..edges[t+1]-1, in increasing group order
-    edges = np.append(np.flatnonzero(new_y[starts]), starts.size).tolist()
+    edges = np.append(np.flatnonzero(np.diff(cell_levels, prepend=-1)), starts.size).tolist()
     # the z value of each cell's group once the cell is counted
     counts = [0] * m
     values = []

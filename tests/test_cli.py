@@ -1,9 +1,13 @@
+import gzip
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from seqpava import DistributionFamilyEstimate, fit_family, group
@@ -437,6 +441,15 @@ x,0.1,0.25,0.5,0.75,0.9
 3,1,1,2,3,3
 """
 
+# zeros of both signs form one threshold, signed as the first zero in
+# (covariate, input row) order
+MIXED_ZERO_ROWS = ("x,y\n2,0.0\n1,-0.0\n2,-0.0\n1,0.0\n2,1\n", "x,y\n2,-0.0\n1,0.0\n1,-0.0\n2,-1e-300\n")
+
+MIXED_ZERO_ESTIMATES = (
+    "y,1,2\n-0,1,0.66666666666666663\n1,1,1\n",
+    "y,1,2\n-1e-300,0.25,0.25\n0,1,1\n",
+)
+
 GEN_5_SEED_1 = """\
 x,y
 5.1182162470025672,2.8358302597545659
@@ -467,6 +480,12 @@ class TestFileFormat:
         for variant in ("standard", "modified", "abridged"):
             result = run_cli(capsys, "idr", path, "--variant", variant)
             assert result == (0, REPEATED_ESTIMATE, "")
+
+    @pytest.mark.parametrize("rows, estimate", zip(MIXED_ZERO_ROWS, MIXED_ZERO_ESTIMATES))
+    def test_idr_golden_with_mixed_zeros(self, capsys, tmp_path, rows, estimate):
+        path = write(tmp_path / "zeros.csv", rows)
+        for variant in ("standard", "modified", "abridged"):
+            assert run_cli(capsys, "idr", path, "--variant", variant) == (0, estimate, "")
 
     def test_quantiles_golden_with_repeated_rows(self, capsys, tmp_path):
         path = write(tmp_path / "est.csv", REPEATED_ESTIMATE)
@@ -577,3 +596,141 @@ class TestFileFormat:
         assert code == 2
         assert "line 2:" in err
 
+
+
+# Texts near the number syntax: the characters of numbers, inf and nan, the
+# separators, whitespace numpy and float() treat differently, a non-ASCII
+# digit (float() reads it, numpy does not), and comment and quote marks.
+READER_ALPHABET = "0123456789+-.eE_infatyINFATY, \t\x0c\r\n\u0661#\""
+_NUMBER = st.one_of(st.floats().map(repr), st.integers(-10**20, 10**20).map(str))
+_FIELD = st.one_of(
+    _NUMBER,
+    st.text(READER_ALPHABET.replace("\n", "").replace("\r", "").replace(",", ""), max_size=5),
+)
+_LINE = st.one_of(
+    st.lists(_FIELD, min_size=1, max_size=3).map(",".join),
+    st.text(READER_ALPHABET, max_size=8),
+)
+# well-formed tables, mostly read by numpy, next to lines that mostly are not
+_TABLE = st.integers(1, 3).flatmap(
+    lambda width: st.lists(
+        st.lists(_NUMBER, min_size=width, max_size=width).map(",".join), min_size=1, max_size=6
+    )
+)
+READER_TEXTS = st.one_of(
+    st.tuples(st.one_of(_TABLE, st.lists(_LINE, max_size=6)), st.sampled_from(["\n", "\r\n", "\r"])).map(
+        lambda lines_end: lines_end[1].join(lines_end[0])
+    ),
+    st.text(READER_ALPHABET, max_size=30),
+)
+
+
+def _outcome(read, *args):
+    """What ``read(*args)`` returns, or the message of the InputFormatError it raises."""
+    try:
+        return read(*args)
+    except cli.InputFormatError as exc:
+        return str(exc)
+
+
+def _same(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        return got == want
+    return got.shape == want.shape and (got.view(np.uint64) == want.view(np.uint64)).all()
+
+
+def _series_per_line(path):
+    lines = cli._scan(path)
+    if not lines:
+        raise cli.InputFormatError(f"{path}: no values found")
+    return cli._parse(path, lines, 1).ravel()
+
+
+def _observations_per_line(path):
+    lines = cli._scan(path)
+    if len(lines) < 2:
+        raise cli.InputFormatError(f"{path}: expected a header 'x,y' and at least one row")
+    if lines[0].replace(" ", "").lower() != "x,y":
+        raise cli.InputFormatError(f"{cli._at(path, 0)}: expected header 'x,y', got {lines[0]!r}")
+    return cli._parse(path, lines[1:], 2, 1)
+
+
+def _changes_per_line(path):
+    lines = cli._scan(path)
+    indices = []
+    for index, text in enumerate(lines):
+        try:
+            indices.append(int(text.partition(",")[0]))
+        except ValueError:
+            cli._parse(path, lines[:index], 2)
+            raise cli.InputFormatError(f"{cli._at(path, index)}: not an integer index") from None
+    return list(zip(indices, cli._parse(path, lines, 2)[:, 1].tolist()))
+
+
+@pytest.fixture(scope="module")
+def reader_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "in.csv"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=READER_TEXTS, width=st.integers(1, 3))
+def test_reader_matches_per_line_float(reader_file, text, width):
+    # numpy's reader gives the rows float() gives, bit for bit, or hands the
+    # file to the per-line loop, which names the same bad line
+    path = str(reader_file)
+    reader_file.write_bytes(text.encode())
+    lines = cli._scan(path)
+    for header, first in ((False, 0), (True, 1)):
+        found, rows = cli._load(path, header)
+        if rows is not None:
+            assert found == (lines[0] if header else "")
+        got = _outcome(cli._rows, path, rows, width, first)
+        assert _same(got, _outcome(cli._parse, path, lines[first:], width, first))
+    assert _same(_outcome(cli._read_series, path), _outcome(_series_per_line, path))
+    # repr keeps the sign of zero apart
+    assert repr(_outcome(cli._read_changes, path)) == repr(_outcome(_changes_per_line, path))
+    reader_file.write_bytes(("x,y\n" + text).encode())
+    assert _same(_outcome(cli._read_observations, path), _outcome(_observations_per_line, path))
+
+
+# Inputs without rows or with one, and a .gz name, which numpy would
+# decompress if it were given the path; the CLI reads every file as text.
+STDERR_TEXTS = {
+    "header only": {"idr": "x,y\n", "quantiles": "y,1,2\n", "fit": "x,y\n"},
+    "blank only": dict.fromkeys(("idr", "quantiles", "fit"), "\n \n\t\n"),
+    "one row": {"idr": "x,y\n1,2\n", "quantiles": "y,1\n1,1\n", "fit": "4.5\n"},
+}
+STDERR_EXPECTED = {
+    ("header only", "idr"): (2, "error: {path}: expected a header 'x,y' and at least one row\n"),
+    ("header only", "quantiles"): (
+        2, "error: {path}: expected a header 'y,<covariates>' and at least one row\n"
+    ),
+    ("header only", "fit"): (2, "error: {path}: line 1: could not convert string to float: 'x'\n"),
+    ("blank only", "idr"): (2, "error: {path}: expected a header 'x,y' and at least one row\n"),
+    ("blank only", "quantiles"): (
+        2, "error: {path}: expected a header 'y,<covariates>' and at least one row\n"
+    ),
+    ("blank only", "fit"): (2, "error: {path}: no values found\n"),
+}
+
+
+@pytest.mark.parametrize("command", ["idr", "quantiles", "fit"])
+@pytest.mark.parametrize(
+    "case, name",
+    [(case, "in.csv") for case in STDERR_TEXTS] + [("one row", "in.csv.gz"), ("gzip", "in.csv.gz")],
+)
+def test_stderr_and_exit_code_in_a_fresh_interpreter(tmp_path, command, case, name):
+    # capsys does not see warnings, so each command runs in its own interpreter
+    path = tmp_path / name
+    if case == "gzip":
+        path.write_bytes(gzip.compress(STDERR_TEXTS["one row"][command].encode(), mtime=0))
+        expected = (1, "error: 'utf-8' codec can't decode byte 0x8b in position 1: invalid start byte\n")
+    else:
+        path.write_text(STDERR_TEXTS[case][command])
+        expected = STDERR_EXPECTED.get((case, command), (0, ""))
+    env = {**os.environ, "PYTHONUTF8": "1", "PYTHONWARNINGS": "default"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "seqpava", command, str(path)], capture_output=True, text=True, env=env
+    )
+    code, message = expected
+    assert (proc.returncode, proc.stderr) == (code, message.format(path=path))

@@ -183,6 +183,26 @@ class TestFitFamily:
         else:
             assert calls == {"set": 0, "set_many": 0, "refit": 1 + est.k}
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_threshold_keeps_the_sign_of_the_first_zero(self, variant):
+        # -0.0 == 0.0, so mixed zeros form one threshold; its sign is that of
+        # the first zero in (group, input row) order, as a stable sort by
+        # response and then group puts them
+        rng = np.random.default_rng(17)
+        signs = set()
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            x = rng.integers(0, 4, n).astype(float)
+            y = rng.choice([-0.0, 0.0, 1.0, -2.0], n)
+            obs = group(np.column_stack((x, y)))
+            order = np.lexsort((obs.group_index, obs.y))
+            y_sorted = obs.y[order]
+            want = y_sorted[np.append(True, y_sorted[1:] != y_sorted[:-1])]
+            got = fit_family(obs, variant).thresholds
+            assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            signs.update(np.signbit(want[want == 0.0]).tolist())
+        assert signs == {False, True}
+
     def test_single_covariate_gives_ecdf(self):
         y = np.array([3.0, 1.0, 2.0, 2.0])
         est = fit_family(group([(0.0, v) for v in y]))

@@ -209,3 +209,38 @@ def test_batch_fits_of_huge_values_match_rescaled_scipy(solver):
     assert np.isfinite(fitted).all()
     want = scipy_fit(z * 2.0**-1000, w) * 2.0**1000
     assert_allclose(fitted, want, rtol=0, atol=1e-12 * np.abs(z).max())
+
+
+def _extreme_weight_inputs():
+    # weights spread over 600 decades; a falling trend keeps many blocks, noise pools some
+    m = 20_000
+    rng = np.random.default_rng(13)
+    z = np.round(rng.normal(0.0, 4.0, m) - np.linspace(0.0, 4000.0, m), 1)
+    w = 10.0 ** rng.uniform(-300.0, 300.0, m)
+    w[:2] = 1e-300, 1e300
+    return z, w, rng
+
+
+@pytest.mark.parametrize("solver", [fit_standard, fit_modified])
+def test_batch_fits_with_extreme_weights_match_scipy(solver):
+    z, w, _ = _extreme_weight_inputs()
+    blocks = solver(WeightedSeries(z, w))
+    assert 100 < blocks.d < z.size
+    fitted = expand(blocks)
+    assert np.isfinite(fitted).all()
+    assert_allclose(fitted, scipy_fit(z, w), rtol=0, atol=1e-12 * np.abs(z).max())
+
+
+def test_set_many_with_extreme_weights_matches_scipy_after_every_batch():
+    z, w, rng = _extreme_weight_inputs()
+    fit = BlockFit(WeightedSeries(z, w))
+    for _ in range(5):
+        positions = np.sort(rng.choice(np.arange(1, z.size + 1), 200, replace=False))
+        values = z[positions - 1] + rng.normal(0.0, 50.0, positions.size).round(1)
+        fit.set_many(positions.tolist(), values.tolist())
+        z = z.copy()
+        z[positions - 1] = values
+        assert_array_equal(fit.z, z)
+        fitted = expand(fit.snapshot())
+        assert np.isfinite(fitted).all()
+        assert_allclose(fitted, scipy_fit(z, w), rtol=0, atol=1e-12 * np.abs(z).max())

@@ -9,8 +9,9 @@ decreasing, while :func:`fit_modified` seeds each new block with a maximal
 constant run of the response vector, which pays off on inputs with long
 plateaus. Both compute the same fit, through :class:`BlockFit`, which is
 also the way to update a fit in place when response values change:
-:meth:`BlockFit.set_many` reworks only the span the changes touch, and
-:meth:`BlockFit.snapshot` copies the current fit out as
+:meth:`BlockFit.set_many` reworks only the span the changes touch and
+reports the blocks it replaced, which :meth:`BlockFit.restore` puts back,
+and :meth:`BlockFit.snapshot` copies the current fit out as
 :class:`FittedBlocks`.
 
 Public index arguments are 1-based; block ``s`` of a partition covers
@@ -18,9 +19,10 @@ positions ``b[s-1]+1 .. b[s]`` of the boundary vector ``b`` with ``b[0] == 0``.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import isclose, isfinite
+from operator import neg
 from typing import Iterator
 
 import numpy as np
@@ -304,27 +306,27 @@ class BlockFit:
         other.bounds, other.means, other.weights = self.bounds[:], self.means[:], self.weights[:]
         return other
 
-    def set(self, j: int, value: float) -> None:
-        """Set ``z`` at 1-based position ``j`` to ``value`` and update the fit.
+    def set(self, j: int, value: float) -> tuple:
+        """Set ``z`` at 1-based position ``j`` to ``value``, update the fit and report.
 
         The batch of one position of :meth:`set_many`: raising ``z[j]`` keeps
         the head of the touched block pooled, lowering it keeps the tail.
         """
-        self.set_many((j,), (value,))
+        return self.set_many((j,), (value,))
 
-    def set_many(self, positions, values) -> None:
-        """Set ``z`` at the 1-based ``positions`` to ``values`` and update the fit once.
+    def set_many(self, positions, values) -> tuple:
+        """Set ``z`` at the 1-based ``positions`` to ``values``, update the fit once and report.
 
         ``positions`` increase strictly; an empty batch changes nothing. Let
         the first position lie in block ``s1`` and the last in block ``sr``,
         and let ``a+1..b`` be the span from the start of ``s1`` to the end of
         ``sr``. Blocks left of ``s1`` are the fit of the prefix ``z[:a]``,
-        which no change touches, so they stay. Reversing the index order and
-        negating the values maps non-increasing fits to non-increasing fits,
-        so by the mirror argument blocks right of ``sr`` are the fit of the
-        untouched suffix. The span is pushed back by its constant runs, old
-        right blocks are re-pushed while they no longer lie strictly below
-        the last block, and the rest are spliced back.
+        which no change touches, so they stay unless the span pools into
+        them. Reversing the index order and negating the values maps
+        non-increasing fits to non-increasing fits, so by the mirror argument
+        blocks right of ``sr`` are the fit of the untouched suffix. The span
+        is pushed back by its constant runs, and old right blocks are
+        re-pushed while they no longer lie strictly below the last block.
 
         When no change lowers ``z``, the head ``a+1..j1`` up to the first
         position stays in one level set of the new fit; when no change raises
@@ -334,6 +336,21 @@ class BlockFit:
         both ways pre-pools nothing. The result is the exact fit of the new
         ``z``. Positions that are not integers, not strictly increasing or
         outside 1..m, and non-finite values, raise before anything changes.
+
+        The reworked blocks are built on small lists. When a change raises
+        ``z`` they are seeded with up to ``b - a`` left blocks next to
+        ``s1``; should pooling reach past the seeds, the span is pushed again
+        onto every left block whose mean is at most the first new block's,
+        found by bisection on the decreasing means. The new blocks are spliced
+        into the fit's lists in place, so an update costs the blocks it
+        reworks plus one memory move of the later blocks, not a copy of the
+        fit, and the blocks are those that pushes onto the whole lists would
+        give.
+
+        Returns the report of what was replaced, ``(s0, count, bounds, means,
+        weights)``: from block ``s0`` on, the old blocks given by their right
+        edges, means and weights gave way to ``count`` new blocks. It costs
+        the replaced blocks; :meth:`restore` takes it to put them back.
         """
         if len(positions) != len(values):
             raise ValueError(f"got {len(positions)} positions but {len(values)} values")
@@ -351,7 +368,7 @@ class BlockFit:
                 raise ValueError(f"new value at position {j} must be finite, got {value}")
             last = j
         if not last:
-            return
+            return 1, 0, [], [], []
         up = down = False
         for j, value in zip(positions, values):
             old = zv[j - 1]
@@ -373,36 +390,69 @@ class BlockFit:
             lo, hi = a, first
         else:  # a mixed batch: pre-pooling either end could split a level set
             lo = hi = b
-        right_bounds = bounds[sr + 1 :]
-        right_means = means[sr:]
-        right_weights = weights[sr:]
-        del bounds[s1:]
-        del means[s1 - 1 :]
-        del weights[s1 - 1 :]
+        pushes = []  # (edges, values, weights) that rebuild z[a:b]
         if lo > a:
-            _absorb(bounds, means, weights, *_runs(self.z, self.w, a, lo))
+            pushes.append(_runs(self.z, self.w, a, lo))
         if hi - lo == 1:
-            _absorb(bounds, means, weights, (hi,), (zv[lo],), (wv[lo],))
+            pushes.append(((hi,), (zv[lo],), (wv[lo],)))
         elif hi > lo:
             weight, mean = _stretch(self.z[lo:hi], self.w[lo:hi])
-            _absorb(bounds, means, weights, (hi,), (mean,), (weight,))
+            pushes.append(((hi,), (mean,), (weight,)))
         if hi < b:
-            _absorb(bounds, means, weights, *_runs(self.z, self.w, hi, b))
-        # Re-push old right blocks that no longer lie strictly below the last
-        # block: after a decrease this pools rightwards, after increases only
-        # rounding can get past the first comparison.
-        if right_means and means[-1] <= right_means[0]:
-            k = 0
-            while k < len(right_means) and means[-1] <= right_means[k]:
-                edge, mean, weight = right_bounds[k], right_means[k], right_weights[k]
-                _absorb(bounds, means, weights, (edge,), (mean,), (weight,))
-                k += 1
-            del right_bounds[:k]
-            del right_means[:k]
-            del right_weights[:k]
-        bounds.extend(right_bounds)
-        means.extend(right_means)
-        weights.extend(right_weights)
+            pushes.append(_runs(self.z, self.w, hi, b))
+        # Without a raise, pooling into a left block takes rounding. A raise
+        # seeds as many left blocks as the span has positions: copying them
+        # costs less than pushing the span again would.
+        s0 = max(1, s1 - (b - a)) if up else s1
+        while True:
+            new_bounds = bounds[s0:s1]
+            new_means = means[s0 - 1 : s1 - 1]
+            new_weights = weights[s0 - 1 : s1 - 1]
+            for push in pushes:
+                _absorb(new_bounds, new_means, new_weights, *push)
+            # Re-push old right blocks that no longer lie strictly below the
+            # last block: after a decrease this pools rightwards, after
+            # increases only rounding can get past the first comparison.
+            end = sr
+            while end < len(means) and new_means[-1] <= means[end]:
+                block = (bounds[end + 1],), (means[end],), (weights[end],)
+                _absorb(new_bounds, new_means, new_weights, *block)
+                end += 1
+            # The first new block's mean only grows as blocks pool into it, so
+            # the lists match pushes onto the full lists unless the block left
+            # of the seeds ends up not above it. Then seed every block not
+            # above it and push again.
+            if s0 == 1 or means[s0 - 2] > new_means[0]:
+                break
+            s0 = bisect_left(means, -new_means[0], 0, s0 - 1, key=neg) + 1
+        # seeded blocks that no pooling reached keep their edges, all <= a
+        keep = bisect_right(new_bounds, a)
+        if keep:
+            s0 += keep
+            del new_bounds[:keep]
+            del new_means[:keep]
+            del new_weights[:keep]
+        return self.restore((s0, end + 1 - s0, new_bounds, new_means, new_weights))
+
+    def restore(self, report: tuple) -> tuple:
+        """Swap in the blocks a report names; return the report that swaps them back.
+
+        A report ``(s0, count, bounds, means, weights)`` says that from block
+        ``s0`` on, ``count`` blocks of the fit give way to the blocks given by
+        their right edges, means and weights. Restoring the report of
+        :meth:`set_many` on the fit it left puts back the blocks it replaced;
+        ``z`` is left to the caller. Costs the blocks swapped, not the length
+        of the fit.
+        """
+        s0, count, bounds, means, weights = report
+        end = s0 + count
+        inverse = (
+            s0, len(means), self.bounds[s0:end], self.means[s0 - 1 : end - 1], self.weights[s0 - 1 : end - 1]
+        )
+        self.bounds[s0:end] = bounds
+        self.means[s0 - 1 : end - 1] = means
+        self.weights[s0 - 1 : end - 1] = weights
+        return inverse
 
     def snapshot(self) -> FittedBlocks:
         """The current fit as an immutable :class:`FittedBlocks`."""

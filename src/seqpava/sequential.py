@@ -13,15 +13,24 @@ work.
 
 This module is the persistent wrapper around that engine: every update
 returns a new :class:`SequentialState` and leaves the one it started from
-intact, so states can branch. A state holds one fit, its engine's; its
-:attr:`~SequentialState.blocks` are built from it when first read, so an
-update whose blocks nobody reads costs no snapshot. To update one fit in
-place, without keeping the earlier ones, use
-:class:`~seqpava.pava.BlockFit` directly.
+intact, so states can branch. All states that descend from one :func:`init`
+share one engine, which holds the fit of exactly one of them. Every other
+state holds a link to a neighbouring state, with the engine's report of the
+update between them and the old value of the position it set, which
+together turn the neighbour into it. Reading or updating a state first walks
+its links to the state the engine holds, undoing each update on the way and
+reversing each link, so the engine then holds the state read. An update of
+the state the engine holds, as in a chain of updates, walks nothing and
+costs the blocks it reworks; reaching another state costs the blocks the
+updates between them reworked. Since reading a state changes the engine
+its relatives share, the states of one :func:`init` are not safe to use
+from several threads at once. A state's :attr:`~SequentialState.blocks`
+are built when first read and kept, so an update whose blocks nobody reads
+costs no snapshot. To update one fit in place, without keeping the earlier
+ones, use :class:`~seqpava.pava.BlockFit` directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,36 +40,71 @@ from .pava import BlockFit, FittedBlocks, WeightedSeries, expand
 __all__ = ["SequentialState", "init", "update_increase", "update_any"]
 
 
-@dataclass(frozen=True)
 class SequentialState:
     """A fit kept alongside the vector it fits, ready for cheap updates.
 
-    ``engine`` is the :class:`~seqpava.pava.BlockFit` that holds ``z``, ``w``
-    and their fit; a state never changes it, and an update works on a copy.
     ``provenance`` records how the state was produced: "initial" from a
     fresh fit, or "abridged" from an update of one component, in either
-    direction.
+    direction. A state's ``blocks``, ``fit()`` and ``z`` never change,
+    whatever other states are read or updated.
     """
 
-    engine: BlockFit
-    provenance: str = "initial"
+    def __init__(self, engine: BlockFit, provenance: str = "initial"):
+        self._engine = engine
+        # None while the engine holds this state; otherwise (neighbour, report,
+        # position, value): restoring the report on the neighbour's fit and
+        # writing the value back at the position gives this state's fit
+        self._link = None
+        self.provenance = provenance
+
+    def _reroot(self) -> BlockFit:
+        """Make the shared engine hold this state's fit, and return the engine."""
+        engine = self._engine
+        if self._link is None:
+            return engine
+        path = []
+        state = self
+        while state._link is not None:
+            path.append(state)
+            state = state._link[0]
+        z = engine.z
+        # the last state on the path links to the one the engine holds
+        for state in reversed(path):
+            neighbour, report, j, value = state._link
+            inverse = engine.restore(report)
+            neighbour._link = state, inverse, j, z.item(j - 1)
+            z[j - 1] = value
+            state._link = None
+        return engine
+
+    @property
+    def engine(self) -> BlockFit:
+        """The shared :class:`~seqpava.pava.BlockFit`, holding this state's fit.
+
+        Read-only: it stays this state's fit only until another state of the
+        same :func:`init` is read or updated.
+        """
+        return self._reroot()
 
     @cached_property
     def blocks(self) -> FittedBlocks:
-        """The engine's fit as :class:`~seqpava.pava.FittedBlocks`, built when first read."""
-        return self.engine.snapshot()
+        """The state's fit as :class:`~seqpava.pava.FittedBlocks`, built when first read."""
+        return self._reroot().snapshot()
 
     @property
     def z(self) -> np.ndarray:
-        return self.engine.z
+        """A read-only copy of the response vector the state fits."""
+        z = self._reroot().z.copy()
+        z.flags.writeable = False
+        return z
 
     @property
     def w(self) -> np.ndarray:
-        return self.engine.w
+        return self._engine.w
 
     @property
     def m(self) -> int:
-        return self.z.size
+        return self._engine.z.size
 
     def fit(self) -> np.ndarray:
         """The expanded fitted vector."""
@@ -79,9 +123,7 @@ def update_increase(state: SequentialState, j_o: int, new_value: float) -> Seque
     reworked; blocks strictly to its right are reused unchanged. The result
     equals a batch refit of the modified vector.
     """
-    if 1 <= j_o <= state.m and float(new_value) <= state.z[j_o - 1]:
-        raise ValueError("decrease not supported by abridged path")
-    return update_any(state, j_o, new_value)
+    return _update(state, j_o, new_value, lowers=False)
 
 
 def update_any(state: SequentialState, j_o: int, new_value: float) -> SequentialState:
@@ -91,11 +133,22 @@ def update_any(state: SequentialState, j_o: int, new_value: float) -> Sequential
     block right of the touched one, a decrease every block left of it; the
     result equals a batch refit of the modified vector.
     """
-    if not 1 <= j_o <= state.m:
-        raise IndexError(f"position must be in 1..{state.m}, got {j_o}")
-    new_value = float(new_value)
-    if new_value == state.z[j_o - 1]:
+    return _update(state, j_o, new_value, lowers=True)
+
+
+def _update(state: SequentialState, j: int, value: float, lowers: bool) -> SequentialState:
+    """Set ``z[j]`` of ``state`` to ``value``; only if ``lowers``, the value may be lower."""
+    engine = state._reroot()
+    m = engine.z.size
+    if not 1 <= j <= m:
+        raise IndexError(f"position must be in 1..{m}, got {j}")
+    value = float(value)
+    old = engine.z.item(j - 1)
+    if not lowers and value <= old:
+        raise ValueError("decrease not supported by abridged path")
+    if value == old:
         return state
-    fit = state.engine.copy()
-    fit.set(j_o, new_value)
-    return SequentialState(fit, provenance="abridged")
+    report = engine.set(j, value)
+    new = SequentialState(engine, "abridged")
+    state._link = new, report, j, old
+    return new

@@ -1,10 +1,12 @@
 """Differential tests against scipy's PAVA at sizes the brute-force oracle cannot reach."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.optimize import isotonic_regression
 
-from seqpava import BlockFit, WeightedSeries, expand, fit_family, fit_modified, fit_standard, group
+from seqpava import BlockFit, WeightedSeries, expand, fit_family, fit_modified, fit_standard, group, pava
 from seqpava.sequential import init, update_any, update_increase
 
 
@@ -169,6 +171,52 @@ def test_set_many_matches_scipy_at_large_m(direction):
     assert new_left == _bits(before, lambda edge: edge <= a)[: len(new_left)]
     old_right = _bits(before, lambda edge: edge > b)
     assert (_bits(fit, lambda edge: edge > b) == old_right) == (direction == "raise")
+
+
+def test_one_block_updates_at_large_m_rework_only_their_blocks(monkeypatch):
+    # strictly decreasing: every index is its own block of 1e5
+    m = 100_000
+    z = -np.arange(m, dtype=float)
+    fit = BlockFit(WeightedSeries(z))
+    pushes = []
+    absorb = pava._absorb
+    monkeypatch.setattr(pava, "_absorb", lambda *args: pushes.append(args[3]) or absorb(*args))
+    tracemalloc.start()
+    raised = fit.set(50_000, z[49_999] + 2.5)  # pools with block 49_999
+    lowered = fit.set(60_000, z[59_999] - 2.5)  # pools with the block of 60_001
+    alone = fit.set(70_000, z[69_999] + 0.5)  # pools with nothing
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert raised == (49_999, 1, [49_999, 50_000], [-49_998.0, -49_999.0], [1.0, 1.0])
+    assert lowered == (59_999, 1, [60_000, 60_001], [-59_999.0, -60_000.0], [1.0, 1.0])
+    assert alone == (69_998, 1, [70_000], [-69_999.0], [1.0])
+    assert [fit.means[k] for k in (49_998, 59_998, 69_997)] == [-49_997.25, -60_000.75, -69_998.5]
+    assert len(pushes) == 4  # each update's value, and one old right block
+    assert peak < 50_000  # bytes: nothing the size of the fit is copied
+    z[[49_999, 59_999, 69_999]] += 2.5, -2.5, 0.5
+    assert_allclose(expand(fit.snapshot()), scipy_fit(z, np.ones(m)), rtol=0, atol=1e-12 * m)
+
+
+def test_sequential_chain_at_large_m_copies_no_engine(monkeypatch):
+    m = 100_000
+    z = -np.arange(m, dtype=float)
+    copies = []
+    copy = BlockFit.copy
+    monkeypatch.setattr(BlockFit, "copy", lambda self: copies.append(self) or copy(self))
+    rng = np.random.default_rng(14)
+    state = init(WeightedSeries(z))
+    z = z.copy()
+    for step in range(50):
+        j = int(rng.integers(1, m + 1))
+        if step % 2:
+            z[j - 1] += 2.5
+            state = update_increase(state, j, z[j - 1])
+        else:
+            z[j - 1] -= 2.5
+            state = update_any(state, j, z[j - 1])
+    assert copies == []
+    assert len(state.blocks.means) > m - 100
+    assert_allclose(state.fit(), scipy_fit(z, np.ones(m)), rtol=0, atol=1e-12 * m)
 
 
 def _large_inputs():

@@ -112,6 +112,13 @@ class TestUpdateAny:
         with pytest.raises(IndexError):
             update_any(init(WeightedSeries(MIXED_Z)), 12, 1.0)
 
+    def test_integer_values_count_as_floats(self):
+        state = init(WeightedSeries(MIXED_Z))
+        raised, lowered = update_increase(state, 5, 1), update_any(state, 2, 0)
+        assert_array_equal(raised.blocks.means, update_increase(state, 5, 1.0).blocks.means)
+        assert_array_equal(lowered.blocks.means, update_any(state, 2, 0.0).blocks.means)
+        assert update_any(lowered, 2, 0) is lowered
+
     def test_states_branch_independently(self):
         before = init(WeightedSeries(MIXED_Z))
         for j, value in ((5, 1.0), (2, 0.0), (9, -1.0)):
@@ -310,6 +317,60 @@ def test_engine_set_matches_oracle(data):
         assert_allclose(expand(blocks), want, rtol=0, atol=1e-12)
 
 
+def _bits(values):
+    """Values as the bits of their float64 form, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _lists(fit):
+    return [_bits(x) for x in (fit.z, fit.bounds, fit.means, fit.weights)]
+
+
+def _assert_holds(state, reference):
+    """The state's z and fit are the reference engine's, bit for bit."""
+    z = state.z
+    assert not z.flags.writeable
+    engine = state.engine
+    assert _bits(z) == _bits(reference.z)
+    assert _lists(engine) == _lists(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_branching_states_keep_their_own_fits(data):
+    # a random tree of states grown from random earlier states, read in random
+    # order; each state's reference is its parent's engine copied, then set
+    m, series = _drawn_series(data, 12)
+    states, references = [init(series)], [BlockFit(series)]
+    for _ in range(data.draw(st.integers(1, 20))):
+        k = data.draw(st.integers(0, len(states) - 1))
+        if data.draw(st.booleans()):  # read a state instead of updating it
+            _assert_holds(states[k], references[k])
+            continue
+        j = data.draw(st.integers(1, m))
+        old = references[k].z[j - 1]
+        step = data.draw(st.sampled_from([-1.0, 0.0, 0.5, 1.5]))
+        if step > 0:
+            state = update_increase(states[k], j, old + step)
+        else:
+            state = update_any(states[k], j, old + step)
+        if step == 0.0:
+            assert state is states[k]
+            continue
+        reference = references[k].copy()
+        reference.set(j, old + step)
+        states.append(state)
+        references.append(reference)
+    for k in data.draw(st.permutations(range(len(states)))):
+        _assert_holds(states[k], references[k])
+        blocks = states[k].blocks
+        assert _bits(blocks.partition.boundaries) == _bits(references[k].bounds)
+        assert _bits(blocks.means) == _bits(references[k].means)
+        assert _bits(blocks.weights) == _bits(references[k].weights)
+        want = minmax_fit(WeightedSeries(references[k].z, series.w))
+        assert_allclose(states[k].fit(), want, rtol=0, atol=1e-12)
+
+
 def _batch(data, fit, m):
     """Strictly increasing positions and new values that raise, lower or move z either way."""
     positions = sorted(data.draw(st.sets(st.integers(1, m), min_size=1, max_size=m)))
@@ -330,11 +391,30 @@ def test_engine_set_many_matches_oracle(data):
     fit = BlockFit(series)
     for _ in range(data.draw(st.integers(1, 3))):
         positions, values = _batch(data, fit, m)
-        fit.set_many(positions, values)
+        old_values = fit.z[np.array(positions) - 1].copy()
+        before = _lists(fit)
+        report = fit.set_many(positions, values)
         assert_array_equal(fit.z[np.array(positions) - 1], values)
         blocks = fit.snapshot()  # rejects means that do not decrease strictly
         want = minmax_fit(WeightedSeries(fit.z, w))
         assert_allclose(expand(blocks), want, rtol=0, atol=1e-12)
+        # the report names the old blocks s0.. that count new blocks replaced;
+        # block s has its edge at bounds[s], its mean and weight at index s - 1
+        s0, count, old_bounds, old_means, old_weights = report
+        replaced = len(old_means)
+        after = _lists(fit)
+        for k, start, old in ((1, s0, old_bounds), (2, s0 - 1, old_means), (3, s0 - 1, old_weights)):
+            assert after[k][:start] == before[k][:start]
+            assert _bits(old) == before[k][start : start + replaced]
+            assert after[k][start + count :] == before[k][start + replaced :]
+        # restoring the report, and z, gives the old fit back bit for bit, and the
+        # report that restore returns gives the new one
+        fit.z[np.array(positions) - 1] = old_values
+        inverse = fit.restore(report)
+        assert _lists(fit) == before
+        fit.z[np.array(positions) - 1] = values
+        fit.restore(inverse)
+        assert _lists(fit) == after
 
 
 def test_engine_set_many_pre_pools_nothing_on_a_mixed_batch():
@@ -345,6 +425,16 @@ def test_engine_set_many_pre_pools_nothing_on_a_mixed_batch():
     fit.set_many((3, 4), (1.0, -10.0))
     assert_array_equal(fit.z, [0.0, 3.0, 1.0, -10.0])
     assert_allclose(expand(fit.snapshot()), [1.5, 1.5, 1.0, -10.0], rtol=0, atol=1e-12)
+
+
+def test_engine_set_pushes_a_lone_position_as_its_own_value():
+    # a one-position block gets z itself as its mean, where a weighted mean
+    # 0.1 * 3 / 3 would give 0.10000000000000002
+    fit = BlockFit(WeightedSeries([5.0, 0.0], [1.0, 3.0]))
+    fit.set(2, 0.1)
+    assert fit.means == [5.0, 0.1]
+    fit.set(2, -0.1)
+    assert fit.means == [5.0, -0.1]
 
 
 def test_engine_set_many_of_nothing_changes_nothing():

@@ -163,8 +163,7 @@ def _read_changes(path: str) -> list[tuple[int, float]]:
         except ValueError:
             _parse(path, lines[:index], 2)  # a malformed earlier line is reported first
             raise InputFormatError(f"{_at(path, index)}: not an integer index") from None
-    _, rows = _load(path, header=False)
-    return list(zip(indices, _rows(path, rows, 2, 0)[:, 1].tolist()))
+    return list(zip(indices, _parse(path, lines, 2)[:, 1].tolist()))
 
 
 def _read_estimate(path: str) -> DistributionFamilyEstimate:

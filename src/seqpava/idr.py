@@ -166,18 +166,17 @@ class DistributionFamilyEstimate:
         return float(self.cdf[j - 1, t])
 
     def quantile(self, j: int, beta: float) -> float:
-        """Smallest threshold where the CDF estimate at covariate ``j`` reaches ``beta``."""
+        """Smallest threshold where the CDF estimate at covariate ``j`` reaches ``beta``.
+
+        It counts the thresholds that reach ``beta``, so it is defined on rows
+        that do not decrease, as :meth:`validate` checks.
+        """
         if not 1 <= j <= self.m:
             raise IndexError(f"covariate index must be in 1..{self.m}, got {j}")
         return float(self._first_reaching(j - 1, j, beta)[0])
 
     def quantiles(self, betas) -> np.ndarray:
-        """The quantile curves as an (m, len(betas)) array.
-
-        Entry ``[j - 1, i]`` equals ``quantile(j, betas[i])``. Each level is one
-        pass over all rows; a row that never reaches a level raises
-        ValueError, as :meth:`quantile` does.
-        """
+        """The (m, len(betas)) curves: entry ``[j - 1, i]`` is ``quantile(j, betas[i])``."""
         curves = np.empty((self.m, len(betas)))
         for i, beta in enumerate(betas):
             curves[:, i] = self._first_reaching(0, self.m, beta)
@@ -187,10 +186,8 @@ class DistributionFamilyEstimate:
         """For rows ``lo..hi-1`` of ``cdf``, the smallest threshold whose value reaches ``beta``."""
         if not 0.0 < beta <= 1.0:
             raise ValueError(f"beta must satisfy 0 < beta <= 1, got {beta}")
-        reached = self.cdf[lo:hi] >= beta
-        # argmax rather than searchsorted: robust even if a row wiggles at ulp level
-        first = reached.argmax(axis=1)
-        missed = np.flatnonzero(~reached[np.arange(hi - lo), first])
+        first = self.k - np.count_nonzero(self.cdf[lo:hi] >= beta, axis=1)
+        missed = np.flatnonzero(first == self.k)  # rows where no threshold reaches beta
         if missed.size:
             j = lo + int(missed[0]) + 1
             raise ValueError(f"the CDF estimate at covariate index {j} never reaches beta = {beta}")

@@ -317,25 +317,28 @@ class BlockFit:
     def set_many(self, positions, values) -> tuple:
         """Set ``z`` at the 1-based ``positions`` to ``values``, update the fit once and report.
 
-        ``positions`` increase strictly; an empty batch changes nothing. Let
-        the first position lie in block ``s1`` and the last in block ``sr``,
-        and let ``a+1..b`` be the span from the start of ``s1`` to the end of
-        ``sr``. Blocks left of ``s1`` are the fit of the prefix ``z[:a]``,
-        which no change touches, so they stay unless the span pools into
-        them. Reversing the index order and negating the values maps
-        non-increasing fits to non-increasing fits, so by the mirror argument
-        blocks right of ``sr`` are the fit of the untouched suffix. The span
-        is pushed back by its constant runs, and old right blocks are
-        re-pushed while they no longer lie strictly below the last block.
+        ``positions`` increase strictly. Positions whose value does not change
+        are dropped first, so a batch without a change leaves the fit as it is
+        and reports ``(1, 0, [], [], [])``. Let the first changed position lie
+        in block ``s1`` and the last in block ``sr``, and let ``a+1..b`` be
+        the span from the start of ``s1`` to the end of ``sr``. Blocks left of
+        ``s1`` are the fit of the prefix ``z[:a]``, which no change touches,
+        so they stay unless the span pools into them. Reversing the index
+        order and negating the values maps non-increasing fits to
+        non-increasing fits, so by the mirror argument blocks right of ``sr``
+        are the fit of the untouched suffix. The span is pushed back by its
+        constant runs, and old right blocks are re-pushed while they no
+        longer lie strictly below the last block.
 
         When no change lowers ``z``, the head ``a+1..j1`` up to the first
-        position stays in one level set of the new fit; when no change raises
-        it, the tail ``jr..b`` from the last position does. That stretch is
-        pushed as one unit, since pre-pooling a stretch that lies inside one
-        level set of the new fit cannot change it. A batch that moves ``z``
-        both ways pre-pools nothing. The result is the exact fit of the new
-        ``z``. Positions that are not integers, not strictly increasing or
-        outside 1..m, and non-finite values, raise before anything changes.
+        changed position stays in one level set of the new fit; when no
+        change raises it, the tail ``jr..b`` from the last changed position
+        does. That stretch is pushed as one unit, since pre-pooling a stretch
+        that lies inside one level set of the new fit cannot change it. A
+        batch that moves ``z`` both ways pre-pools nothing. The result is the
+        exact fit of the new ``z``. Positions that are not integers, not
+        strictly increasing or outside 1..m, and non-finite values, raise
+        before anything changes.
 
         The reworked blocks are built on small lists. When a change raises
         ``z`` they are seeded with up to ``b - a`` left blocks next to
@@ -367,18 +370,22 @@ class BlockFit:
             if not isfinite(value):
                 raise ValueError(f"new value at position {j} must be finite, got {value}")
             last = j
-        if not last:
-            return 1, 0, [], [], []
         up = down = False
+        first = 0  # the first position whose value changes; last becomes the last one
         for j, value in zip(positions, values):
             old = zv[j - 1]
-            zv[j - 1] = value
             if value > old:
                 up = True
             elif value < old:
                 down = True
+            else:
+                continue
+            zv[j - 1] = value
+            first = first or j
+            last = j
+        if not first:
+            return 1, 0, [], [], []
         bounds, means, weights = self.bounds, self.means, self.weights
-        first = positions[0]
         s1 = bisect_left(bounds, first)  # bounds[s1-1] < first <= bounds[s1]
         sr = s1 if last <= bounds[s1] else bisect_left(bounds, last, s1)
         a = bounds[s1 - 1]
@@ -498,10 +505,7 @@ def iter_prefix_fits(series: WeightedSeries) -> Iterator[FittedBlocks]:
     The last yielded value equals ``fit_standard(series)``. Useful for
     inspecting how the partition evolves while indices are absorbed.
     """
-    # the engine starts on index 1; its lists then grow to cover 1..j
-    prefix = BlockFit(WeightedSeries(series.z[:1], series.w[:1]))
-    yield prefix.snapshot()
-    rest = zip(series.z[1:].tolist(), series.w[1:].tolist())
-    for j, (mean, weight) in enumerate(rest, start=2):
-        _absorb(prefix.bounds, prefix.means, prefix.weights, (j,), (mean,), (weight,))
-        yield prefix.snapshot()
+    bounds, means, weights = [0], [], []
+    for j, (mean, weight) in enumerate(zip(series.z.tolist(), series.w.tolist()), start=1):
+        _absorb(bounds, means, weights, (j,), (mean,), (weight,))
+        yield FittedBlocks(BlockPartition(bounds), means, weights)

@@ -305,9 +305,31 @@ def test_quantiles_equal_quantile_cell_by_cell(pairs):
     est = fit_family(group(pairs))
     betas = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0)
     expected = [[est.quantile(j, beta) for beta in betas] for j in range(1, est.m + 1)]
-    curves = est.quantiles(betas)
-    assert curves.shape == (est.m, len(betas))
-    assert curves.tolist() == expected
+    # the table fit_family builds is F-ordered; the queries must not depend on that
+    for cdf in (est.cdf, np.ascontiguousarray(est.cdf)):
+        curves = DistributionFamilyEstimate(est.covariates, est.thresholds, cdf).quantiles(betas)
+        assert curves.shape == (est.m, len(betas))
+        assert curves.tolist() == expected
+        assert _bits(curves) == _bits(_first_reaching_by_argmax(est, betas))
+
+
+def _first_reaching_by_argmax(est, betas):
+    """Quantile curves by the first threshold of each row that reaches each level."""
+    return np.column_stack([est.thresholds[(est.cdf >= beta).argmax(axis=1)] for beta in betas])
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.benchmark
+def test_quantiles_at_scale_equal_the_argmax_reference():
+    betas = (0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 1e-9, 0.5 + 1e-16)
+    for n, seeds in ((2000, range(40)), (4000, (3,))):
+        for seed in seeds:
+            pairs = generate_dataset(ExperimentConfig(n=n, replications=1, seed=seed), 0)
+            est = fit_family(group(pairs))
+            assert _bits(est.quantiles(betas)) == _bits(_first_reaching_by_argmax(est, betas))
 
 
 class TestEstimateValidation:

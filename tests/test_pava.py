@@ -163,6 +163,18 @@ class TestFitStandard:
         assert_array_equal(after7.partition.boundaries, [0, 3, 7])
         assert after7.means[1] == 0.125
         assert_array_equal(snapshots[-1].partition.boundaries, MIXED_BOUNDS)
+        # every snapshot is the standard fit of its prefix, bit for bit, on
+        # series with ties and weights that make the pooled means round
+        rng = np.random.default_rng(16)
+        for _ in range(100):
+            m = int(rng.integers(1, 21))
+            z = rng.integers(-3, 4, size=m) / 3.0
+            w = rng.uniform(0.1, 3.0, size=m)
+            for j, blocks in enumerate(iter_prefix_fits(WeightedSeries(z, w)), start=1):
+                want = fit_standard(WeightedSeries(z[:j], w[:j]))
+                assert_array_equal(blocks.partition.boundaries, want.partition.boundaries)
+                for got, ref in ((blocks.means, want.means), (blocks.weights, want.weights)):
+                    assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
 
 
 class TestFitModified:

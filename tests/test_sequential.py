@@ -445,6 +445,21 @@ def test_engine_set_many_of_nothing_changes_nothing():
     assert_array_equal(fit.bounds, MIXED_BOUNDS)
 
 
+def test_engine_set_many_drops_positions_whose_value_does_not_change():
+    # rounding keeps apart two blocks of means 0.25 and 0.24999999999999997;
+    # writing back a value already there must not pool them
+    fit = BlockFit(WeightedSeries([-1.0, 1.5, -1.0, 0.0, 1.5, 0.5]))
+    assert fit.means == [0.25, 0.24999999999999997]
+    before = _lists(fit)
+    assert fit.set(5, 1.5) == (1, 0, [], [], [])
+    assert fit.set_many([1, 5], [-1.0, 1.5]) == (1, 0, [], [], [])
+    assert _lists(fit) == before
+    # an unchanged position beside a changed one reports what the change alone does
+    alone = fit.copy()
+    assert fit.set_many([1, 6], [-1.0, 0.0]) == alone.set_many([6], [0.0])
+    assert _lists(fit) == _lists(alone) != before
+
+
 def test_engine_set_many_takes_numpy_batches():
     fit = BlockFit(WeightedSeries(MIXED_Z))
     fit.set_many(np.array([2, 5, 9]), np.array([0.0, 4.0, -1.0]))

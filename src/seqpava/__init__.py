@@ -1,9 +1,9 @@
 """Monotone weighted least squares with incremental updates and CDF-family estimation."""
 
-from . import bench, idr, oracle, pava, sequential
-from .bench import ExperimentConfig, TimingReport, generate_dataset, run_benchmark
+from importlib import import_module as _import_module
+
+from . import idr, pava, sequential
 from .idr import DistributionFamilyEstimate, ObservationSet, fit_family, group
-from .oracle import FitCheck, check_fit, minmax_fit
 from .pava import (
     BlockFit,
     BlockPartition,
@@ -19,6 +19,29 @@ from .pava import (
 from .sequential import SequentialState, update_any, update_increase
 
 __version__ = "0.1.0"
+
+# The timing harness and the brute-force oracle, and the names taken from them,
+# are imported when first named (PEP 562), so that the command line, which
+# needs neither, starts faster.
+_LAZY = {
+    "bench": "bench",
+    "ExperimentConfig": "bench",
+    "TimingReport": "bench",
+    "generate_dataset": "bench",
+    "run_benchmark": "bench",
+    "oracle": "oracle",
+    "FitCheck": "oracle",
+    "check_fit": "oracle",
+    "minmax_fit": "oracle",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _import_module(f".{_LAZY[name]}", __name__)
+    return module if name == _LAZY[name] else getattr(module, name)
+
 
 __all__ = [
     "BlockFit",

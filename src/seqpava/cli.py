@@ -14,7 +14,6 @@ from contextlib import nullcontext
 
 import numpy as np
 
-from .bench import ExperimentConfig, generate_dataset, run_benchmark
 from .idr import VARIANTS, DistributionFamilyEstimate, fit_family, group
 from .pava import WeightedSeries, expand, fit_modified, fit_standard
 from .sequential import init, update_any
@@ -62,15 +61,29 @@ def _parse(path: str, lines: list[str], width: int, first: int = 0) -> np.ndarra
     return np.array(rows, dtype=float).reshape(-1, width)
 
 
+def _numpy_rows(source) -> np.ndarray | None:
+    """The rows of ``source``, an open file or a list of lines, as numpy's C reader parses them.
+
+    None when numpy refuses them (a bad field, ragged rows or undecodable
+    text) or finds none.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+            rows = np.loadtxt(source, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
+    except ValueError:
+        return None
+    return rows if rows.shape[0] else None
+
+
 def _load(path: str, header: bool) -> tuple[str, np.ndarray | None]:
     """The header of ``path`` and the rows after it, as numpy's C reader parses them.
 
     The header is the first non-blank line, stripped, or ``""`` when
     ``header`` is false. The rows are None when numpy refuses them or finds
-    none; callers then rescan the lines with :func:`_rows`, which names the
-    first bad one. numpy accepts no number that ``float`` refuses, so both
-    give the same rows. numpy gets the open file, not the path, so that it
-    decompresses nothing.
+    none; callers then rescan the lines with :func:`_rows`. numpy accepts no
+    number that ``float`` refuses, so both give the same rows. numpy gets the
+    open file, not the path, so that it decompresses nothing.
     """
     first = ""
     with open(path) as fh:
@@ -80,19 +93,27 @@ def _load(path: str, header: bool) -> tuple[str, np.ndarray | None]:
                 if not line:
                     return first, None
                 first = line.strip()
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
-        except ValueError:  # a bad field, ragged rows or undecodable text
+        except ValueError:  # undecodable text
             return first, None
-    return first, rows if rows.shape[0] else None
+        return first, _numpy_rows(fh)
 
 
 def _rows(path: str, rows: np.ndarray | None, width: int, first: int) -> np.ndarray:
-    """``rows`` if numpy read them ``width`` wide, else the scanned lines from index ``first`` on, parsed."""
+    """``rows`` if numpy read them ``width`` wide, else the scanned lines from index ``first`` on, parsed.
+
+    When numpy refused the file, it is given the scanned lines, which are
+    stripped and hold no blank line, so that a whitespace-only line costs no
+    per-line parse; :func:`_parse` runs only when numpy refuses those too (or
+    reads another width), and names the first bad line.
+    """
     if rows is not None and rows.shape[1] == width:
         return rows
-    return _parse(path, _scan(path)[first:], width, first)
+    lines = _scan(path)[first:]
+    if rows is None:
+        rows = _numpy_rows(lines)
+        if rows is not None and rows.shape == (len(lines), width):
+            return rows
+    return _parse(path, lines, width, first)
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -254,6 +275,8 @@ def cmd_quantiles(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    from .bench import ExperimentConfig, generate_dataset
+
     config = ExperimentConfig(n=args.n, replications=1, seed=args.seed)
     pairs = generate_dataset(config, 0)
     _write_csv(args.output, "x,y", pairs)
@@ -261,6 +284,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import ExperimentConfig, run_benchmark
+
     config = ExperimentConfig(n=args.n, replications=args.replications, seed=args.seed)
     report = run_benchmark(config)
     print(report.format_table())

@@ -206,7 +206,7 @@ class FittedBlocks:
                 )
 
 
-_INTEGERS = (int, np.integer)  # the types :meth:`BlockFit.set_many` takes as positions
+_INTEGERS = (int, np.integer)  # the types :class:`BlockFit` takes as positions
 
 # Below this many indices, finding runs with numpy costs more than pushing
 # every index as its own run.
@@ -309,10 +309,24 @@ class BlockFit:
     def set(self, j: int, value: float) -> tuple:
         """Set ``z`` at 1-based position ``j`` to ``value``, update the fit and report.
 
-        The batch of one position of :meth:`set_many`: raising ``z[j]`` keeps
-        the head of the touched block pooled, lowering it keeps the tail.
+        Checks its one position as :meth:`set_many` checks each of a batch,
+        with the same errors, then shares the rework with it: the result and
+        the report are those of ``set_many((j,), (value,))``. Raising
+        ``z[j]`` keeps the head of the touched block pooled, lowering it
+        keeps the tail; an unchanged value reports ``(1, 0, [], [], [])``.
         """
-        return self.set_many((j,), (value,))
+        zv = self._z
+        if not isinstance(j, _INTEGERS):
+            raise TypeError(f"position {j!r} is not an integer")
+        if not 1 <= j <= len(zv):
+            raise IndexError(f"position {j} is outside 1..{len(zv)}")
+        if not isfinite(value):
+            raise ValueError(f"new value at position {j} must be finite, got {value}")
+        old = zv[j - 1]
+        if value == old:
+            return 1, 0, [], [], []
+        zv[j - 1] = value
+        return self._rework(j, j, value > old, value < old)
 
     def set_many(self, positions, values) -> tuple:
         """Set ``z`` at the 1-based ``positions`` to ``values``, update the fit once and report.
@@ -357,7 +371,7 @@ class BlockFit:
         """
         if len(positions) != len(values):
             raise ValueError(f"got {len(positions)} positions but {len(values)} values")
-        zv, wv = self._z, self._w
+        zv = self._z
         m = len(zv)
         last = 0
         for j, value in zip(positions, values):
@@ -385,6 +399,16 @@ class BlockFit:
             last = j
         if not first:
             return 1, 0, [], [], []
+        return self._rework(first, last, up, down)
+
+    def _rework(self, first: int, last: int, up: bool, down: bool) -> tuple:
+        """Rework the fit after ``z`` changed at positions ``first`` .. ``last``; report.
+
+        ``up`` says that some change raised ``z`` and ``down`` that some
+        lowered it. The span rule, the pre-pooled stretch, the seeds and the
+        splice are those described in :meth:`set_many`.
+        """
+        zv, wv = self._z, self._w
         bounds, means, weights = self.bounds, self.means, self.weights
         s1 = bisect_left(bounds, first)  # bounds[s1-1] < first <= bounds[s1]
         sr = s1 if last <= bounds[s1] else bisect_left(bounds, last, s1)

@@ -598,6 +598,26 @@ class TestFileFormat:
 
 
 
+def test_whitespace_only_lines_skip_the_per_line_parse(tmp_path, monkeypatch):
+    # numpy refuses a file with a whitespace-only line; the scanned lines,
+    # which hold none, still go through numpy and not through _parse
+    rows = np.random.default_rng(5).normal(size=(300, 2))
+    lines = ["%.17g,%.17g" % tuple(row) for row in rows.tolist()]
+    clean = write(tmp_path / "clean.csv", "x,y\n" + "\n".join(lines) + "\n")
+    lines[100:100] = [" "]
+    lines[200:200] = ["\t \t"]
+    spaced = write(tmp_path / "spaced.csv", "x,y\n" + "\n".join(lines) + "\n")
+    assert cli._load(spaced, True)[1] is None
+    calls = []
+    parse = cli._parse
+    monkeypatch.setattr(cli, "_parse", lambda *args: calls.append(args) or parse(*args))
+    want = cli._read_observations(clean)
+    got = cli._read_observations(spaced)
+    assert got.shape == want.shape == (300, 2)
+    assert (got.view(np.uint64) == want.view(np.uint64)).all()
+    assert calls == []
+
+
 # Texts near the number syntax: the characters of numbers, inf and nan, the
 # separators, whitespace numpy and float() treat differently, a non-ASCII
 # digit (float() reads it, numpy does not), and comment and quote marks.

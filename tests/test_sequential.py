@@ -417,6 +417,44 @@ def test_engine_set_many_matches_oracle(data):
         assert _lists(fit) == after
 
 
+def _outcome(update, *args):
+    """The report of ``update(*args)``, or the type and message of what it raises."""
+    try:
+        return update(*args)
+    except (TypeError, ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_engine_set_is_the_batch_of_one(data):
+    m, series = _drawn_series(data, 20)
+    fit = BlockFit(series)
+    batch = fit.copy()
+    bad_positions = [0, m + 1, 2.5, "3"]
+    bad_values = [np.nan, np.inf, -np.inf, "3"]
+    for _ in range(data.draw(st.integers(1, 12))):
+        kind = data.draw(st.sampled_from(["new", "same", "bad position", "bad value"]))
+        j = data.draw(st.integers(1, m))
+        # True and numpy integers are positions too
+        position = data.draw(st.sampled_from([j, np.int64(j)] + [True] * (j == 1)))
+        value = data.draw(_halves)
+        if kind == "same":
+            value = fit.z.item(j - 1)
+        elif kind == "bad position":
+            position = data.draw(st.sampled_from(bad_positions))
+        elif kind == "bad value":
+            value = data.draw(st.sampled_from(bad_values))
+        before = _lists(fit)
+        got = _outcome(fit.set, position, value)
+        assert got == _outcome(batch.set_many, (position,), (value,))
+        assert _lists(fit) == _lists(batch)
+        if kind.startswith("bad"):
+            assert isinstance(got[0], type) and _lists(fit) == before
+        elif kind == "same":
+            assert got == (1, 0, [], [], []) and _lists(fit) == before
+
+
 def test_engine_set_many_pre_pools_nothing_on_a_mixed_batch():
     # one block of mean 3; raising z3 and lowering z4 splits it, and pooling
     # the head 1..3 as one unit would give [4/3, 4/3, 4/3, -10]

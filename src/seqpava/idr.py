@@ -211,7 +211,6 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
     m = obs.m
     n = obs.n
     w = obs.weights
-    w_list = w.tolist()
 
     y = np.sort(obs.y)
     thresholds = y[np.append(True, y[1:] != y[:-1])]
@@ -230,16 +229,19 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
     cell_levels, cell_groups = np.divmod(keys[starts], m)
     # threshold t owns cells edges[t]..edges[t+1]-1, in increasing group order
     edges = np.append(np.flatnonzero(np.diff(cell_levels, prepend=-1)), starts.size).tolist()
-    # the z value of each cell's group once the cell is counted
-    counts = [0] * m
-    values = []
-    for j, size in zip(cell_groups.tolist(), np.diff(starts, append=n).tolist()):
-        counts[j] += size
-        values.append(counts[j] / w_list[j])
-    positions = (cell_groups + 1).tolist()
+    # the count of each cell's group once the cell is counted: a running sum
+    # over the cells in (group, threshold) order, less the earlier groups' totals
+    order = np.argsort(cell_groups, kind="stable")
+    sizes = np.diff(starts, append=n)
+    totals = np.bincount(obs.group_index, minlength=m)
+    cell_counts = np.empty_like(sizes)
+    cell_counts[order] = np.cumsum(sizes[order]) - (np.cumsum(totals) - totals)[cell_groups[order]]
+    positions = cell_groups + 1
+    values = cell_counts / w[cell_groups]
 
     fit = BlockFit(WeightedSeries(np.zeros(m), w))
     z = fit.z
+    counts = np.zeros(m, dtype=np.int64)  # the count behind each z, as of the last threshold
     table = np.empty((thresholds.size, m))
     for row, (lo, hi) in enumerate(zip(edges, edges[1:])):
         if variant == "abridged":
@@ -247,12 +249,12 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
         else:
             z[cell_groups[lo:hi]] = values[lo:hi]
             fit.refit(variant == "modified")
-        # One division of exact integer sums (rounding z * w recovers the
-        # counts) makes each block mean correctly rounded whatever the
-        # pooling order, so rows cannot fall by an ulp.
+        counts[cell_groups[lo:hi]] = cell_counts[lo:hi]
+        # One division of exact integer sums makes each block mean correctly
+        # rounded whatever the pooling order, so rows cannot fall by an ulp.
         b = np.array(fit.bounds)
         left = b[:-1]
-        block_means = np.add.reduceat(np.rint(z * w), left) / np.add.reduceat(w, left)
+        block_means = np.add.reduceat(counts, left) / np.add.reduceat(w, left)
         table[row] = np.repeat(block_means, b[1:] - left)
 
     return DistributionFamilyEstimate(obs.covariates.copy(), thresholds, table.T)

@@ -12,7 +12,12 @@ also the way to update a fit in place when response values change:
 :meth:`BlockFit.set_many` reworks only the span the changes touch and
 reports the blocks it replaced, which :meth:`BlockFit.restore` puts back,
 and :meth:`BlockFit.snapshot` copies the current fit out as
-:class:`FittedBlocks`.
+:class:`FittedBlocks`. The span goes back in by constant runs, except that
+the positions strictly between a batch's first and last change enter by
+maximal non-decreasing runs at their weighted means: neighbours that do not
+decrease share a level set of every non-increasing fit, and a batch of many
+changes leaves few constant runs there. A batch of one has no such positions,
+so :meth:`BlockFit.set` pushes constant runs, each at its exact value.
 
 Public index arguments are 1-based; block ``s`` of a partition covers
 positions ``b[s-1]+1 .. b[s]`` of the boundary vector ``b`` with ``b[0] == 0``.
@@ -209,28 +214,42 @@ class FittedBlocks:
 _INTEGERS = (int, np.integer)  # the types :class:`BlockFit` takes as positions
 
 # Below this many indices, finding runs with numpy costs more than pushing
-# every index as its own run.
+# every index as its own run, and checking a batch with numpy more than a loop.
 _SHORT_SPAN = 16
 
 
-def _runs(z: np.ndarray, w: np.ndarray, lo: int, hi: int) -> tuple:
+def _runs(z: np.ndarray, w: np.ndarray, lo: int, hi: int, split=np.not_equal) -> tuple:
     """Right edges (as boundary entries), values and weights of the runs of ``z[lo:hi]``.
 
-    A run is a maximal constant stretch of ``z``; its weight is summed from
-    ``w``, never differenced from cumulative weights, so a large weight to
-    its left cannot cancel it. Spans shorter than ``_SHORT_SPAN`` are split
-    into single indices instead.
+    A run is a maximal stretch of ``z`` that ``split(next, previous)`` does
+    not cut: a constant run by default, a non-decreasing run with
+    ``np.less``. A constant run enters at its value, any other run at its
+    weighted mean, which stays finite as :func:`_stretch`'s does. A run's
+    weight is summed from ``w``, never differenced from cumulative weights,
+    so a large weight to its left cannot cancel it. Spans shorter than
+    ``_SHORT_SPAN`` are split into single indices instead.
     """
     seg = z[lo:hi]
     if hi - lo < _SHORT_SPAN:
         return range(lo + 1, hi + 1), seg.tolist(), w[lo:hi].tolist()
     is_start = np.empty(seg.size, dtype=bool)
     is_start[0] = True
-    np.not_equal(seg[1:], seg[:-1], out=is_start[1:])
+    split(seg[1:], seg[:-1], out=is_start[1:])
     starts = np.flatnonzero(is_start)
     edges = (starts[1:] + lo).tolist()
     edges.append(hi)
-    return edges, seg[starts].tolist(), np.add.reduceat(w[lo:hi], starts).tolist()
+    values = seg[starts]
+    weights = np.add.reduceat(w[lo:hi], starts)
+    if split is not np.not_equal:
+        stops = np.append(starts[1:], seg.size)
+        mixed = np.flatnonzero(values != seg[stops - 1])  # the runs that are not constant
+        if mixed.size:
+            with np.errstate(over="ignore", invalid="ignore"):
+                means = np.add.reduceat(seg * w[lo:hi], starts)[mixed] / weights[mixed]
+            values[mixed] = means
+            for r in mixed[~np.isfinite(means)]:  # the weighted sum overflowed
+                values[r] = _stretch(seg[starts[r] : stops[r]], w[lo + starts[r] : lo + stops[r]])[1]
+    return edges, values.tolist(), weights.tolist()
 
 
 def _absorb(bounds: list, means: list, weights: list, edges, values, run_weights) -> None:
@@ -340,9 +359,15 @@ class BlockFit:
         so they stay unless the span pools into them. Reversing the index
         order and negating the values maps non-increasing fits to
         non-increasing fits, so by the mirror argument blocks right of ``sr``
-        are the fit of the untouched suffix. The span is pushed back by its
-        constant runs, and old right blocks are re-pushed while they no
-        longer lie strictly below the last block.
+        are the fit of the untouched suffix. The span is pushed back by runs,
+        and old right blocks are re-pushed while they no longer lie strictly
+        below the last block. Neighbours with ``z_i <= z_{i+1}`` share a level
+        set of every non-increasing fit, so the positions strictly between the
+        first and the last changed one enter by maximal non-decreasing runs of
+        the new ``z``, each at its weighted mean. The rest of the span enters
+        by constant runs, each at its value; a batch of one has no such
+        interior, so :meth:`set` pushes only constant runs and the stretch
+        pooled below.
 
         When no change lowers ``z``, the head ``a+1..j1`` up to the first
         changed position stays in one level set of the new fit; when no
@@ -352,7 +377,9 @@ class BlockFit:
         batch that moves ``z`` both ways pre-pools nothing. The result is the
         exact fit of the new ``z``. Positions that are not integers, not
         strictly increasing or outside 1..m, and non-finite values, raise
-        before anything changes.
+        before anything changes. A batch of ``_SHORT_SPAN`` or more is checked
+        and written with numpy; shorter ones, and any that numpy cannot clear,
+        go position by position, so the error names the first bad entry.
 
         The reworked blocks are built on small lists. When a change raises
         ``z`` they are seeded with up to ``b - a`` left blocks next to
@@ -373,6 +400,30 @@ class BlockFit:
             raise ValueError(f"got {len(positions)} positions but {len(values)} values")
         zv = self._z
         m = len(zv)
+        if len(positions) >= _SHORT_SPAN:
+            index, new = np.asarray(positions), np.asarray(values)
+            if (
+                index.dtype.kind in "iu"
+                and new.dtype.kind == "f"
+                and index.ndim == 1
+                and new.shape == index.shape
+                and 1 <= index[0]
+                and index[-1] <= m
+                and (index[1:] > index[:-1]).all()
+                and np.isfinite(new).all()
+            ):
+                index = index - 1
+                old = self.z[index]
+                changed = new != old
+                if not changed.all():
+                    index, new, old = index[changed], new[changed], old[changed]
+                    if not index.size:
+                        return 1, 0, [], [], []
+                self.z[index] = new
+                up, down = (new > old).any(), (new < old).any()
+                return self._rework(int(index[0]) + 1, int(index[-1]) + 1, up, down)
+        elif isinstance(positions, np.ndarray) and positions.dtype.kind in "iu" and positions.ndim == 1:
+            positions = positions.tolist()  # the loops below are faster on Python integers
         last = 0
         for j, value in zip(positions, values):
             if not isinstance(j, _INTEGERS):
@@ -408,29 +459,39 @@ class BlockFit:
         lowered it. The span rule, the pre-pooled stretch, the seeds and the
         splice are those described in :meth:`set_many`.
         """
-        zv, wv = self._z, self._w
+        z, w, zv, wv = self.z, self.w, self._z, self._w
         bounds, means, weights = self.bounds, self.means, self.weights
         s1 = bisect_left(bounds, first)  # bounds[s1-1] < first <= bounds[s1]
         sr = s1 if last <= bounds[s1] else bisect_left(bounds, last, s1)
         a = bounds[s1 - 1]
         b = bounds[sr]
-        # z[lo:hi] stays pooled
-        if not up:
-            lo, hi = last - 1, b
-        elif not down:
-            lo, hi = a, first
-        else:  # a mixed batch: pre-pooling either end could split a level set
-            lo = hi = b
+        # z[a:lo] stays pooled when no change lowers z, z[hi:b] when none
+        # raises it; a mixed batch pre-pools neither, since either could
+        # split a level set
+        lo = a if down else first
+        hi = b if up else last - 1
         pushes = []  # (edges, values, weights) that rebuild z[a:b]
         if lo > a:
-            pushes.append(_runs(self.z, self.w, a, lo))
-        if hi - lo == 1:
-            pushes.append(((hi,), (zv[lo],), (wv[lo],)))
-        elif hi > lo:
-            weight, mean = _stretch(self.z[lo:hi], self.w[lo:hi])
-            pushes.append(((hi,), (mean,), (weight,)))
+            if lo - a == 1:
+                pushes.append(((lo,), (zv[a],), (wv[a],)))
+            else:
+                weight, mean = _stretch(z[a:lo], w[a:lo])
+                pushes.append(((lo,), (mean,), (weight,)))
+        if last - first < 2:
+            if hi > lo:
+                pushes.append(_runs(z, w, lo, hi))
+        else:  # positions strictly between first and last enter by non-decreasing runs
+            if first > lo:
+                pushes.append(_runs(z, w, lo, first))
+            pushes.append(_runs(z, w, first, last - 1, np.less))
+            if hi > last - 1:
+                pushes.append(_runs(z, w, last - 1, hi))
         if hi < b:
-            pushes.append(_runs(self.z, self.w, hi, b))
+            if b - hi == 1:
+                pushes.append(((b,), (zv[hi],), (wv[hi],)))
+            else:
+                weight, mean = _stretch(z[hi:b], w[hi:b])
+                pushes.append(((b,), (mean,), (weight,)))
         # Without a raise, pooling into a left block takes rounding. A raise
         # seeds as many left blocks as the span has positions: copying them
         # costs less than pushing the span again would.

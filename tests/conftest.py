@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqpava import WeightedSeries
+from seqpava import WeightedSeries, pava
 
 # nine-point vector whose fit pools into three blocks with means (2, 1/8, 0)
 MIXED_Z = np.array([1.0, 3.0, 2.0, 0.0, -1.0, 1.0, 0.5, -1.0, 1.0])
@@ -21,3 +21,17 @@ def random_integer_series(rng: np.random.Generator, max_m: int = 8) -> WeightedS
     z = rng.integers(-3, 4, size=m).astype(float)
     w = rng.integers(1, 4, size=m).astype(float)
     return WeightedSeries(z, w)
+
+
+@pytest.fixture
+def pushed(monkeypatch) -> list:
+    """The number of units in each push through the pooling kernel, from now on."""
+    counts = []
+    absorb = pava._absorb
+
+    def counted(bounds, means, weights, edges, values, run_weights):
+        counts.append(len(values))
+        absorb(bounds, means, weights, edges, values, run_weights)
+
+    monkeypatch.setattr(pava, "_absorb", counted)
+    return counts

@@ -173,6 +173,38 @@ def test_set_many_matches_scipy_at_large_m(direction):
     assert (_bits(fit, lambda edge: edge > b) == old_right) == (direction == "raise")
 
 
+@pytest.mark.parametrize("direction", ["raise", "lower", "mixed"])
+def test_numpy_batches_match_scipy_after_every_batch(monkeypatch, direction):
+    # numpy batches of 100 changes, checked in bulk: the long stretches between
+    # the first and the last change enter by non-decreasing runs found with numpy
+    m = 10_000
+    rng = np.random.default_rng(["raise", "lower", "mixed"].index(direction) + 10)
+    z = np.round(rng.normal(0.0, 6.0, m) - np.linspace(0.0, 400.0, m)) / 2.0
+    w = rng.integers(1, 5, m).astype(float)
+    fit = BlockFit(WeightedSeries(z, w))
+    splits = []
+    runs = pava._runs
+
+    def recorded(z, w, lo, hi, split=np.not_equal):
+        splits.append((hi - lo, split))
+        return runs(z, w, lo, hi, split)
+
+    monkeypatch.setattr(pava, "_runs", recorded)
+    for _ in range(6):
+        positions = np.sort(rng.choice(m, 100, replace=False)) + 1
+        steps = rng.integers(1, 40, positions.size) / 2.0
+        if direction == "lower":
+            steps = -steps
+        elif direction == "mixed":
+            steps *= rng.choice([-1.0, 1.0], positions.size)
+        z[positions - 1] += steps
+        fit.set_many(positions, z[positions - 1])
+        assert_array_equal(fit.z, z)
+        want = scipy_fit(z, w)
+        assert_allclose(expand(fit.snapshot()), want, rtol=0, atol=1e-12 * np.abs(z).max())
+    assert sum(size >= 16 and split is np.less for size, split in splits) == 6
+
+
 def test_one_block_updates_at_large_m_rework_only_their_blocks(monkeypatch):
     # strictly decreasing: every index is its own block of 1e5
     m = 100_000

@@ -417,6 +417,10 @@ def test_engine_set_many_matches_oracle(data):
         assert _lists(fit) == after
 
 
+# 30 positions, so that a batch of 16 or more can be valid
+LONG_Z = np.tile(MIXED_Z, 4)[:30]
+
+
 def _outcome(update, *args):
     """The report of ``update(*args)``, or the type and message of what it raises."""
     try:
@@ -475,6 +479,48 @@ def test_engine_set_pushes_a_lone_position_as_its_own_value():
     assert fit.means == [5.0, -0.1]
 
 
+def test_engine_set_many_pools_interior_runs_of_huge_values_and_weights(pushed):
+    # pairs (v, v + step/2) of non-decreasing values near the float limit:
+    # weights of 1e300 overflow every w * z, so the pairs between the two
+    # changes enter at means from _stretch's scaled fallback
+    v = np.linspace(1.6, -1.6, 20) * 1e308
+    z = np.ravel(np.column_stack((v, v + 0.5 * (v[0] - v[1]))))
+    w = np.tile([1e300, 3e300], 20)
+    fit = BlockFit(WeightedSeries(z, w))
+    assert len(fit.means) == 20
+    pushed.clear()
+    z[[0, -1]] += 1e307, -1e307
+    fit.set_many([1, 40], z[[0, -1]])
+    # position 1, position 2 alone, 18 pairs, position 39 alone, position 40
+    assert pushed == [1, 20, 1]
+    want = fit_standard(WeightedSeries(z, w))
+    assert_array_equal(fit.bounds, want.partition.boundaries)
+    assert_allclose(fit.means, want.means, rtol=1e-15)
+
+
+def test_engine_set_many_enters_a_constant_interior_run_at_its_value(pushed):
+    # 0.7 * 3 summed and divided by the weight gives 0.6999999999999998, so a
+    # constant run between the changes must enter at its value, not its mean
+    z = np.r_[np.linspace(9.0, 5.0, 8), [0.7] * 3, np.linspace(-5.0, -9.0, 8)]
+    fit = BlockFit(WeightedSeries(z, np.full(z.size, 3.0)))
+    pushed.clear()
+    fit.set_many([1, 19], [10.0, -10.0])
+    assert pushed == [1, 15, 1]  # 17 positions between the changes, the run one unit
+    assert fit.means[8:10] == [0.7, -5.0] and fit.weights[8] == 9.0
+
+
+def test_engine_set_pools_the_head_of_a_raise_and_the_tail_of_a_lowering(pushed):
+    # z rises along 1..20, so all of it is one block of the fit
+    fit = BlockFit(WeightedSeries(np.arange(20.0)))
+    pushed.clear()
+    fit.set(15, 100.0)  # positions 1..15 as one unit, then 16..20 one by one
+    assert pushed == [1, 5]
+    pushed.clear()
+    fit.set(5, -100.0)  # positions 1..4 one by one, then 5..20 as one unit
+    assert pushed == [4, 1]
+    assert_allclose(expand(fit.snapshot()), minmax_fit(WeightedSeries(fit.z)), rtol=0, atol=1e-12)
+
+
 def test_engine_set_many_of_nothing_changes_nothing():
     fit = BlockFit(WeightedSeries(MIXED_Z))
     fit.set_many([], [])
@@ -496,6 +542,16 @@ def test_engine_set_many_drops_positions_whose_value_does_not_change():
     alone = fit.copy()
     assert fit.set_many([1, 6], [-1.0, 0.0]) == alone.set_many([6], [0.0])
     assert _lists(fit) == _lists(alone) != before
+    # the same in a batch checked in bulk
+    fit = BlockFit(WeightedSeries(LONG_Z))
+    before = _lists(fit)
+    assert fit.set_many(np.arange(1, 31), LONG_Z.copy()) == (1, 0, [], [], [])
+    assert _lists(fit) == before
+    alone = fit.copy()
+    values = LONG_Z.copy()
+    values[[3, 20]] = 7.0, -7.0
+    assert fit.set_many(np.arange(1, 31), values) == alone.set_many([4, 21], [7.0, -7.0])
+    assert _lists(fit) == _lists(alone) != before
 
 
 def test_engine_set_many_takes_numpy_batches():
@@ -504,6 +560,19 @@ def test_engine_set_many_takes_numpy_batches():
     want = fit_standard(WeightedSeries(fit.z))
     assert_array_equal(fit.bounds, want.partition.boundaries)
     assert_allclose(fit.means, want.means, rtol=0, atol=1e-12)
+    # a short batch and one checked in bulk: numpy positions do what a list
+    # does, where True is 1, and leave Python integers in the fit
+    for m in (9, 30):
+        values = np.linspace(9.0, 4.0, m)
+        fit = BlockFit(WeightedSeries(LONG_Z[:m]))
+        batch = fit.copy()
+        report = fit.set_many([True] + list(range(2, m + 1)), values.tolist())
+        assert report == batch.set_many(np.arange(1, m + 1, dtype=np.int32), values)
+        assert _lists(fit) == _lists(batch) and len(batch.means) == m
+        assert all(type(edge) is int for edge in batch.bounds)
+
+
+_ZEROS = [0.0] * 16
 
 
 @pytest.mark.parametrize(
@@ -518,6 +587,26 @@ def test_engine_set_many_takes_numpy_batches():
         ((5, 3), (5.0, 1.0), ValueError, r"increase strictly, got 3 after 5"),
         ((1, 2), (5.0, np.nan), ValueError, r"value at position 2 must be finite"),
         ((1, 2), (5.0,), ValueError, r"2 positions but 1 values"),
+        # numpy batches, and batches of 16 or more, which are checked in bulk
+        # first: the error still names the first bad entry after good ones
+        (np.array([1, 10]), np.zeros(2), IndexError, r"position 10 is outside 1\.\.9"),
+        (np.array([1.0, 2.0]), np.zeros(2), TypeError, r"position np\.float64\(1\.0\) is not"),
+        (np.array([[1, 2]]), np.zeros((1, 2)), TypeError, r"position array\(\[1, 2\]\) is not"),
+        (np.arange(1, 17), np.zeros(16), IndexError, r"position 10 is outside 1\.\.9"),
+        (list(range(1, 17)), _ZEROS, IndexError, r"position 10 is outside 1\.\.9"),
+        (np.arange(0, 16), np.zeros(16), IndexError, r"position 0 is outside 1\.\.9"),
+        (np.arange(1, 17), np.r_[0.0, 0.0, 0.0, np.nan, np.zeros(12)], ValueError, r"position 4 must be finite, got nan"),
+        (np.arange(1, 17), np.r_[0.0, -np.inf, np.zeros(14)], ValueError, r"position 2 must be finite, got -inf"),
+        (np.arange(1, 17), [0.0, 0.0, "3"] + _ZEROS[3:], TypeError, r"must be real number, not str"),
+        (np.arange(1, 17), np.zeros((16, 2)), TypeError, r"only 0-dimensional arrays can be"),
+        (np.r_[1, 2, 3, 3, np.arange(4, 16)], np.zeros(16), ValueError, r"increase strictly, got 3 after 3"),
+        (np.r_[1:4, 9:0:-1, 1:5].astype(np.uint64), np.zeros(16), ValueError, r"strictly, got 8 after 9"),
+        ([True, 1] + list(range(2, 16)), _ZEROS, ValueError, r"increase strictly, got 1 after True"),
+        ([1, 2, 2.5] + list(range(3, 16)), _ZEROS, TypeError, r"position 2\.5 is not an integer"),
+        ([1, 2, "3"] + list(range(4, 17)), _ZEROS, TypeError, r"position '3' is not an integer"),
+        (np.arange(1.0, 17.0), np.zeros(16), TypeError, r"position np\.float64\(1\.0\) is not"),
+        (np.ones(16, dtype=bool), np.zeros(16), TypeError, r"position np\.True_ is not an integer"),
+        (np.arange(1, 17), np.zeros(15), ValueError, r"16 positions but 15 values"),
     ],
 )
 def test_engine_set_many_names_bad_input_and_changes_nothing(positions, values, error, message):

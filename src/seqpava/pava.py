@@ -260,19 +260,41 @@ def _absorb(bounds: list, means: list, weights: list, edges, values, run_weights
     neighbour while that neighbour's mean is not larger, so equal
     neighbouring means merge. The pooled mean stays finite whenever the
     means it combines are.
+
+    The last block, which later runs may still pool into, stays in locals
+    until a run keeps apart from it. Blocks pool in the order and by the
+    operations of appending and popping every run, so every float is the same.
     """
-    for edge, mean, weight in zip(edges, values, run_weights):
-        while means and means[-1] <= mean:
-            mp = means.pop()
-            wp = weights.pop()
-            del bounds[-1]
-            total = wp + weight
-            diff = mean - mp
-            if diff - diff == 0.0:
-                mean = mp + diff * (weight / total)
-            else:  # the means have opposite signs and their difference overflowed
-                mean = mp * (wp / total) + mean * (weight / total)
-            weight = total
+    units = zip(edges, values, run_weights)
+    for edge, mean, weight in units:  # the first run; the loops below take the rest
+        while True:
+            while means and means[-1] <= mean:
+                mp = means.pop()
+                wp = weights.pop()
+                del bounds[-1]
+                total = wp + weight
+                diff = mean - mp
+                if diff - diff == 0.0:
+                    mean = mp + diff * (weight / total)
+                else:  # the means have opposite signs and their difference overflowed
+                    mean = mp * (wp / total) + mean * (weight / total)
+                weight = total
+            for edge_r, mean_r, weight_r in units:
+                if mean <= mean_r:  # the run pools into the open block, which may pool on
+                    total = weight + weight_r
+                    diff = mean_r - mean
+                    if diff - diff == 0.0:
+                        mean += diff * (weight_r / total)
+                    else:
+                        mean = mean * (weight / total) + mean_r * (weight_r / total)
+                    edge, weight = edge_r, total
+                    break
+                bounds.append(edge)
+                means.append(mean)
+                weights.append(weight)
+                edge, mean, weight = edge_r, mean_r, weight_r
+            else:
+                break
         bounds.append(edge)
         means.append(mean)
         weights.append(weight)
@@ -345,6 +367,8 @@ class BlockFit:
         if value == old:
             return 1, 0, [], [], []
         zv[j - 1] = value
+        if type(j) is not int:  # a numpy integer or True must not become an edge
+            j = int(j)
         return self._rework(j, j, value > old, value < old)
 
     def set_many(self, positions, values) -> tuple:
@@ -450,7 +474,7 @@ class BlockFit:
             last = j
         if not first:
             return 1, 0, [], [], []
-        return self._rework(first, last, up, down)
+        return self._rework(int(first), int(last), up, down)
 
     def _rework(self, first: int, last: int, up: bool, down: bool) -> tuple:
         """Rework the fit after ``z`` changed at positions ``first`` .. ``last``; report.

@@ -230,6 +230,20 @@ def test_variant_timing_order():
     )
 
 
+def test_variant_work_order(pushed):
+    # the timing order above in units pushed through the pooling kernel,
+    # which does not depend on how fast the kernel or the machine is
+    obs = group(generate_dataset(ExperimentConfig(n=1000, replications=20, seed=2024), 0))
+    units = {}
+    for variant in ("abridged", "modified", "standard"):
+        pushed.clear()
+        fit_family(obs, variant)
+        units[variant] = sum(pushed)
+    assert units["abridged"] <= units["modified"] <= units["standard"], units
+    assert units == {"abridged": 16_479, "modified": 136_298, "standard": 1_000_001}
+    _announce(f"variant work order (units pushed {units})")
+
+
 def test_cli_round_trip(tmp_path, capsys):
     def pipeline(tag):
         base = tmp_path / tag

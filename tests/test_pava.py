@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
@@ -17,6 +17,7 @@ from seqpava import (
     isotonic_fit,
     iter_prefix_fits,
     minmax_fit,
+    pava,
     weighted_mean,
 )
 
@@ -331,3 +332,68 @@ def test_fit_projection_is_idempotent(series):
     fit = expand(fit_standard(series))
     again = expand(fit_standard(WeightedSeries(fit, series.w)))
     assert_allclose(again, fit, rtol=0, atol=1e-12)
+
+
+def _absorb_reference(bounds, means, weights, edges, values, run_weights):
+    """The pooling kernel as it was before it held the open block in locals."""
+    for edge, mean, weight in zip(edges, values, run_weights):
+        while means and means[-1] <= mean:
+            mp = means.pop()
+            wp = weights.pop()
+            del bounds[-1]
+            total = wp + weight
+            diff = mean - mp
+            if diff - diff == 0.0:
+                mean = mp + diff * (weight / total)
+            else:  # the means have opposite signs and their difference overflowed
+                mean = mp * (wp / total) + mean * (weight / total)
+            weight = total
+        bounds.append(edge)
+        means.append(mean)
+        weights.append(weight)
+
+
+# small integers tie often; values near the float limit under weights near
+# 1e300 make differences of means overflow
+_KERNEL_MEANS = st.one_of(
+    st.integers(-3, 3).map(float),
+    st.sampled_from([1.7e308, -1.7e308, 1.6e308, -1.5e308]),
+    st.floats(-1e3, 1e3),
+)
+_KERNEL_WEIGHTS = st.sampled_from([1.0, 2.0, 0.5, 3.0, 1e300, 2e300])
+
+
+@st.composite
+def _kernel_calls(draw):
+    """Pre-filled lists and one push onto them, in one of the forms the engine passes."""
+    size = draw(st.integers(0, 4))
+    bounds = [0] + sorted(draw(st.sets(st.integers(1, 50), min_size=size, max_size=size)))
+    means = draw(st.lists(_KERNEL_MEANS, min_size=size, max_size=size))
+    weights = draw(st.lists(_KERNEL_WEIGHTS, min_size=size, max_size=size))
+    count = draw(st.integers(0, 12))
+    values = draw(st.lists(_KERNEL_MEANS, min_size=count, max_size=count))
+    run_weights = draw(st.lists(_KERNEL_WEIGHTS, min_size=count, max_size=count))
+    edges = range(bounds[-1] + 1, bounds[-1] + count + 1)
+    form = draw(st.sampled_from(["lists", "tuples", "views"]))
+    if form == "views":  # as refit(by_runs=False) passes them
+        push = edges, memoryview(np.array(values)), memoryview(np.array(run_weights))
+    else:
+        push = tuple(map(list if form == "lists" else tuple, (edges, values, run_weights)))
+    return (bounds, means, weights), push
+
+
+def _typed(lists):
+    return [[(type(x), float.hex(float(x))) for x in entries] for entries in lists]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_calls())
+@example((([0, 1], [-1.7e308], [1e300]), ([2, 3], [1.7e308, -1.0], [2e300, 1.0])))
+@example((([0], [], []), ((1, 2), (-1.7e308, 1.7e308), (1e300, 1.0))))
+def test_pooling_kernel_matches_the_append_and_pop_loop(call):
+    lists, push = call
+    want = [entries[:] for entries in lists]
+    _absorb_reference(*want, *push)
+    got = [entries[:] for entries in lists]
+    pava._absorb(*got, *push)
+    assert _typed(got) == _typed(want)

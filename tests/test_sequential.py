@@ -521,6 +521,20 @@ def test_engine_set_pools_the_head_of_a_raise_and_the_tail_of_a_lowering(pushed)
     assert_allclose(expand(fit.snapshot()), minmax_fit(WeightedSeries(fit.z)), rtol=0, atol=1e-12)
 
 
+def test_engine_updates_keep_python_integer_edges():
+    # a raise at 5 (or 1) pools the head 1..5 into one unit whose edge is the
+    # position; a batch that ends at 30 pushes the runs before it up to edge 29
+    series = WeightedSeries(np.arange(40.0, 0.0, -1.0))
+    for position in (np.int64(5), True):
+        fit, batch = BlockFit(series), BlockFit(series)
+        report = fit.set(position, 100.0)
+        batch.set_many((position,), (100.0,))
+        batch.set_many((position, np.int64(30)), (200.0, -100.0))
+        state = update_increase(init(series), position, 100.0)
+        edges = fit.bounds + report[2] + fit.restore(report)[2] + batch.bounds + state.engine.bounds
+        assert all(type(edge) is int for edge in edges), edges
+
+
 def test_engine_set_many_of_nothing_changes_nothing():
     fit = BlockFit(WeightedSeries(MIXED_Z))
     fit.set_many([], [])

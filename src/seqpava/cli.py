@@ -213,8 +213,6 @@ def _parse_betas(text: str) -> list[float]:
         if not 0.0 < beta <= 1.0:
             raise InputFormatError(f"beta must lie in (0, 1], got {beta}")
         betas.append(beta)
-    if not betas:
-        raise InputFormatError("--betas must name at least one level")
     return betas
 
 

@@ -12,12 +12,14 @@ also the way to update a fit in place when response values change:
 :meth:`BlockFit.set_many` reworks only the span the changes touch and
 reports the blocks it replaced, which :meth:`BlockFit.restore` puts back,
 and :meth:`BlockFit.snapshot` copies the current fit out as
-:class:`FittedBlocks`. The span goes back in by constant runs, except that
-the positions strictly between a batch's first and last change enter by
-maximal non-decreasing runs at their weighted means: neighbours that do not
-decrease share a level set of every non-increasing fit, and a batch of many
-changes leaves few constant runs there. A batch of one has no such positions,
-so :meth:`BlockFit.set` pushes constant runs, each at its exact value.
+:class:`FittedBlocks`. :meth:`BlockFit.set` changes one position and is
+what a batch of one goes through; every longer batch is checked and written
+with numpy. The span goes back in by constant runs, except that the
+positions strictly between a batch's first and last change enter by maximal
+non-decreasing runs at their weighted means: neighbours that do not decrease
+share a level set of every non-increasing fit, and a batch of many changes
+leaves few constant runs there. A batch of one has no such positions, so
+:meth:`BlockFit.set` pushes constant runs, each at its exact value.
 
 Public index arguments are 1-based; block ``s`` of a partition covers
 positions ``b[s-1]+1 .. b[s]`` of the boundary vector ``b`` with ``b[0] == 0``.
@@ -213,8 +215,27 @@ class FittedBlocks:
 
 _INTEGERS = (int, np.integer)  # the types :class:`BlockFit` takes as positions
 
+
+def _refuse(positions, values, m: int) -> None:
+    """Raise on the first bad entry of a batch for a fit of length ``m``; return if none.
+
+    Positions must be integers in 1..m that increase strictly, values finite.
+    """
+    last = 0
+    for j, value in zip(positions, values):
+        if not isinstance(j, _INTEGERS):
+            raise TypeError(f"position {j!r} is not an integer")
+        if not 1 <= j <= m:
+            raise IndexError(f"position {j} is outside 1..{m}")
+        if j <= last:
+            raise ValueError(f"positions must increase strictly, got {j} after {last}")
+        if not isfinite(value):
+            raise ValueError(f"new value at position {j} must be finite, got {value}")
+        last = j
+
+
 # Below this many indices, finding runs with numpy costs more than pushing
-# every index as its own run, and checking a batch with numpy more than a loop.
+# every index as its own run.
 _SHORT_SPAN = 16
 
 
@@ -350,19 +371,15 @@ class BlockFit:
     def set(self, j: int, value: float) -> tuple:
         """Set ``z`` at 1-based position ``j`` to ``value``, update the fit and report.
 
-        Checks its one position as :meth:`set_many` checks each of a batch,
-        with the same errors, then shares the rework with it: the result and
-        the report are those of ``set_many((j,), (value,))``. Raising
-        ``z[j]`` keeps the head of the touched block pooled, lowering it
-        keeps the tail; an unchanged value reports ``(1, 0, [], [], [])``.
+        :meth:`set_many` hands every batch of one to this method. The
+        position and value are checked as each entry of a batch is, with the
+        same errors. Raising ``z[j]`` keeps the head of the touched block
+        pooled, lowering it keeps the tail; an unchanged value reports
+        ``(1, 0, [], [], [])``.
         """
         zv = self._z
-        if not isinstance(j, _INTEGERS):
-            raise TypeError(f"position {j!r} is not an integer")
-        if not 1 <= j <= len(zv):
-            raise IndexError(f"position {j} is outside 1..{len(zv)}")
-        if not isfinite(value):
-            raise ValueError(f"new value at position {j} must be finite, got {value}")
+        if not (isinstance(j, _INTEGERS) and 1 <= j <= len(zv) and isfinite(value)):
+            _refuse((j,), (value,), len(zv))
         old = zv[j - 1]
         if value == old:
             return 1, 0, [], [], []
@@ -401,9 +418,11 @@ class BlockFit:
         batch that moves ``z`` both ways pre-pools nothing. The result is the
         exact fit of the new ``z``. Positions that are not integers, not
         strictly increasing or outside 1..m, and non-finite values, raise
-        before anything changes. A batch of ``_SHORT_SPAN`` or more is checked
-        and written with numpy; shorter ones, and any that numpy cannot clear,
-        go position by position, so the error names the first bad entry.
+        before anything changes. A batch of one goes to :meth:`set`. Any
+        other batch is checked and written with numpy; one that numpy does
+        not take as integer positions and float values at once is checked
+        entry by entry, so the error names the first bad entry, and a valid
+        one is then converted to such arrays.
 
         The reworked blocks are built on small lists. When a change raises
         ``z`` they are seeded with up to ``b - a`` left blocks next to
@@ -422,59 +441,34 @@ class BlockFit:
         """
         if len(positions) != len(values):
             raise ValueError(f"got {len(positions)} positions but {len(values)} values")
-        zv = self._z
-        m = len(zv)
-        if len(positions) >= _SHORT_SPAN:
-            index, new = np.asarray(positions), np.asarray(values)
-            if (
-                index.dtype.kind in "iu"
-                and new.dtype.kind == "f"
-                and index.ndim == 1
-                and new.shape == index.shape
-                and 1 <= index[0]
-                and index[-1] <= m
-                and (index[1:] > index[:-1]).all()
-                and np.isfinite(new).all()
-            ):
-                index = index - 1
-                old = self.z[index]
-                changed = new != old
-                if not changed.all():
-                    index, new, old = index[changed], new[changed], old[changed]
-                    if not index.size:
-                        return 1, 0, [], [], []
-                self.z[index] = new
-                up, down = (new > old).any(), (new < old).any()
-                return self._rework(int(index[0]) + 1, int(index[-1]) + 1, up, down)
-        elif isinstance(positions, np.ndarray) and positions.dtype.kind in "iu" and positions.ndim == 1:
-            positions = positions.tolist()  # the loops below are faster on Python integers
-        last = 0
-        for j, value in zip(positions, values):
-            if not isinstance(j, _INTEGERS):
-                raise TypeError(f"position {j!r} is not an integer")
-            if not 1 <= j <= m:
-                raise IndexError(f"position {j} is outside 1..{m}")
-            if j <= last:
-                raise ValueError(f"positions must increase strictly, got {j} after {last}")
-            if not isfinite(value):
-                raise ValueError(f"new value at position {j} must be finite, got {value}")
-            last = j
-        up = down = False
-        first = 0  # the first position whose value changes; last becomes the last one
-        for j, value in zip(positions, values):
-            old = zv[j - 1]
-            if value > old:
-                up = True
-            elif value < old:
-                down = True
-            else:
-                continue
-            zv[j - 1] = value
-            first = first or j
-            last = j
-        if not first:
+        if len(positions) == 1:
+            return self.set(positions[0], values[0])
+        if not len(positions):
             return 1, 0, [], [], []
-        return self._rework(int(first), int(last), up, down)
+        m = self.z.size
+        index, new = np.asarray(positions), np.asarray(values)
+        if not (
+            index.dtype.kind in "iu"
+            and new.dtype.kind == "f"
+            and index.ndim == 1
+            and new.shape == index.shape
+            and 1 <= index[0]
+            and index[-1] <= m
+            and (index[1:] > index[:-1]).all()
+            and np.isfinite(new).all()
+        ):
+            _refuse(positions, values, m)
+            index, new = np.array(positions, dtype=np.int64), np.array(values, dtype=float)
+        index = index - 1
+        old = self.z[index]
+        changed = new != old
+        if not changed.all():
+            index, new, old = index[changed], new[changed], old[changed]
+            if not index.size:
+                return 1, 0, [], [], []
+        self.z[index] = new
+        up, down = (new > old).any(), (new < old).any()
+        return self._rework(int(index[0]) + 1, int(index[-1]) + 1, up, down)
 
     def _rework(self, first: int, last: int, up: bool, down: bool) -> tuple:
         """Rework the fit after ``z`` changed at positions ``first`` .. ``last``; report.

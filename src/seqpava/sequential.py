@@ -138,6 +138,8 @@ def update_any(state: SequentialState, j_o: int, new_value: float) -> Sequential
 
 def _update(state: SequentialState, j: int, value: float, lowers: bool) -> SequentialState:
     """Set ``z[j]`` of ``state`` to ``value``; only if ``lowers``, the value may be lower."""
+    if not (isinstance(j, int) or isinstance(j, np.integer)):
+        raise TypeError(f"position {j!r} is not an integer")
     engine = state._reroot()
     m = engine.z.size
     if not 1 <= j <= m:

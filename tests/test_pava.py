@@ -78,6 +78,10 @@ class TestWeightedMean:
         with pytest.raises(IndexError):
             weighted_mean(mixed_series, lo, hi)
 
+    def test_weighted_sum_is_divided_by_the_total(self):
+        # scaling the weights by their total first would give 1.6666666666666665
+        assert weighted_mean(WeightedSeries([1.0, 2.0], [1.0, 2.0]), 1, 2) == 5 / 3
+
     def test_huge_values_stay_finite(self):
         # the weighted sum 3e308 overflows, the mean does not
         with warnings.catch_warnings():
@@ -186,6 +190,13 @@ class TestFitModified:
             blocks = fit_modified(series)
             assert_array_equal(blocks.partition.boundaries, [0, 1, m])
             assert_array_equal(blocks.weights, [1e20, m - 1])
+
+    def test_spans_shorter_than_sixteen_enter_index_by_index(self, pushed):
+        # below 16 indices, finding runs with numpy costs more than it saves
+        for m, units in ((15, [15]), (16, [1])):
+            pushed.clear()
+            fit_modified(WeightedSeries(np.zeros(m)))
+            assert pushed == units
 
     def test_two_constant_runs(self):
         blocks = fit_modified(WeightedSeries([1.0, 1.0, 1.0, 0.0, 0.0]))

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
-from seqpava import BlockFit, WeightedSeries, expand, fit_modified, fit_standard, minmax_fit
+from seqpava import BlockFit, WeightedSeries, expand, fit_modified, fit_standard, minmax_fit, pava
 from seqpava.sequential import init, update_any, update_increase
 
 from conftest import MIXED_BOUNDS, MIXED_MEANS, MIXED_Z
@@ -85,6 +87,13 @@ class TestUpdateIncrease:
             update_increase(state, 10, 1.0)
         with pytest.raises(ValueError):
             update_increase(state, 5, np.inf)
+        # positions that are not integers are named before anything is read
+        for j in (2.0, 2.5, np.float64(2.0), "2"):
+            for update in (update_increase, update_any):
+                with pytest.raises(TypeError, match=rf"^position {re.escape(repr(j))} is not an integer$"):
+                    update(state, j, 9.0)
+        assert_array_equal(state.z, MIXED_Z)
+        assert_array_equal(state.blocks.partition.boundaries, MIXED_BOUNDS)
 
 
 class TestUpdateAny:
@@ -537,8 +546,8 @@ def test_engine_updates_keep_python_integer_edges():
 
 def test_engine_set_many_of_nothing_changes_nothing():
     fit = BlockFit(WeightedSeries(MIXED_Z))
-    fit.set_many([], [])
-    fit.set_many(np.array([], dtype=np.int64), np.array([]))
+    assert fit.set_many([], []) == (1, 0, [], [], [])
+    assert fit.set_many(np.array([], dtype=np.int64), np.array([])) == (1, 0, [], [], [])
     assert_array_equal(fit.z, MIXED_Z)
     assert_array_equal(fit.bounds, MIXED_BOUNDS)
 
@@ -568,7 +577,7 @@ def test_engine_set_many_drops_positions_whose_value_does_not_change():
     assert _lists(fit) == _lists(alone) != before
 
 
-def test_engine_set_many_takes_numpy_batches():
+def test_engine_set_many_takes_numpy_batches(monkeypatch):
     fit = BlockFit(WeightedSeries(MIXED_Z))
     fit.set_many(np.array([2, 5, 9]), np.array([0.0, 4.0, -1.0]))
     want = fit_standard(WeightedSeries(fit.z))
@@ -584,6 +593,37 @@ def test_engine_set_many_takes_numpy_batches():
         assert report == batch.set_many(np.arange(1, m + 1, dtype=np.int32), values)
         assert _lists(fit) == _lists(batch) and len(batch.means) == m
         assert all(type(edge) is int for edge in batch.bounds)
+    # batches numpy cannot type at once as integer positions and float values
+    # (True, numpy integers among Python ones, Python integer values) are
+    # checked entry by entry and then converted: they do what their twins,
+    # int64 or uint64 positions with float64 values, do without that check
+    refuse, checked = pava._refuse, []
+    monkeypatch.setattr(pava, "_refuse", lambda *args: checked.append(len(args[0])) or refuse(*args))
+    for size in (2, 15, 16):
+        head, tail = list(range(1, size + 1)), list(range(31 - size, 31))
+        values = [(-1) ** j * (j - 5) for j in head]
+        batches = [
+            ([True] + head[1:], values, np.int64),
+            ([np.int32(j) if j % 2 else j for j in head], values, np.int64),
+            ([np.uint64(j) if j % 2 else np.int64(j) for j in tail], [v / 4 for v in values], np.uint64),
+        ]
+        for positions, new, kind in batches:
+            fit = BlockFit(WeightedSeries(LONG_Z))
+            twin = fit.copy()
+            report = fit.set_many(positions, new)
+            assert report == twin.set_many(np.array(positions, dtype=kind), np.array(new, dtype=float))
+            assert _lists(fit) == _lists(twin) != _lists(BlockFit(WeightedSeries(LONG_Z)))
+            assert all(type(edge) is int for edge in fit.bounds + report[2])
+    assert checked == [2, 2, 2, 15, 15, 15, 16, 16, 16]
+    # a batch of one is a call of set, which checks a valid position at
+    # either end without the loop
+    set_one, ones = BlockFit.set, []
+    monkeypatch.setattr(BlockFit, "set", lambda fit, j, value: ones.append(j) or set_one(fit, j, value))
+    fit = BlockFit(WeightedSeries(LONG_Z))
+    fit.set_many(np.array([30]), np.array([-4.0]))
+    fit.set(1, 9.0)
+    fit.set(np.int64(30), 4.0)
+    assert ones == [30, 1, 30] and checked == [2, 2, 2, 15, 15, 15, 16, 16, 16]
 
 
 _ZEROS = [0.0] * 16
@@ -601,8 +641,8 @@ _ZEROS = [0.0] * 16
         ((5, 3), (5.0, 1.0), ValueError, r"increase strictly, got 3 after 5"),
         ((1, 2), (5.0, np.nan), ValueError, r"value at position 2 must be finite"),
         ((1, 2), (5.0,), ValueError, r"2 positions but 1 values"),
-        # numpy batches, and batches of 16 or more, which are checked in bulk
-        # first: the error still names the first bad entry after good ones
+        # batches of two or more, which numpy checks in bulk first: the
+        # error still names the first bad entry after good ones
         (np.array([1, 10]), np.zeros(2), IndexError, r"position 10 is outside 1\.\.9"),
         (np.array([1.0, 2.0]), np.zeros(2), TypeError, r"position np\.float64\(1\.0\) is not"),
         (np.array([[1, 2]]), np.zeros((1, 2)), TypeError, r"position array\(\[1, 2\]\) is not"),
@@ -621,6 +661,10 @@ _ZEROS = [0.0] * 16
         (np.arange(1.0, 17.0), np.zeros(16), TypeError, r"position np\.float64\(1\.0\) is not"),
         (np.ones(16, dtype=bool), np.zeros(16), TypeError, r"position np\.True_ is not an integer"),
         (np.arange(1, 17), np.zeros(15), ValueError, r"16 positions but 15 values"),
+        # batches of every length reach the loop when numpy's check refuses them
+        (np.array([0, 2]), np.zeros(2), IndexError, r"position 0 is outside 1\.\.9"),
+        (np.array([[1, 2], [3, 4]]), np.zeros((2, 2)), TypeError, r"position array\(\[1, 2\]\) is not"),
+        (np.array([1, 2]), np.zeros((2, 2)), TypeError, r"only 0-dimensional arrays can be"),
     ],
 )
 def test_engine_set_many_names_bad_input_and_changes_nothing(positions, values, error, message):

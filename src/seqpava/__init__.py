@@ -6,7 +6,6 @@ from . import idr, pava, sequential
 from .idr import DistributionFamilyEstimate, ObservationSet, fit_family, group
 from .pava import (
     BlockFit,
-    BlockPartition,
     FittedBlocks,
     WeightedSeries,
     expand,
@@ -45,7 +44,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "BlockFit",
-    "BlockPartition",
     "DistributionFamilyEstimate",
     "ExperimentConfig",
     "FitCheck",

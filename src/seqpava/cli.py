@@ -238,14 +238,14 @@ def cmd_fit(args) -> int:
             z = series.z.copy()
             for index, value in changes:
                 if not 1 <= index <= z.size:
-                    raise IndexError(f"change position must be in 1..{z.size}, got {index}")
+                    raise IndexError(f"position {index} is outside 1..{z.size}")
                 z[index - 1] = value
             series = WeightedSeries(z, series.w)
         blocks = fit_standard(series) if args.variant == "standard" else fit_modified(series)
     fitted = expand(blocks)
 
     payload = {
-        "boundaries": blocks.partition.boundaries.tolist(),
+        "boundaries": blocks.boundaries.tolist(),
         "means": blocks.means.tolist(),
         "fit": fitted.tolist(),
     }

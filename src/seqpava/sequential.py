@@ -142,8 +142,8 @@ def _update(state: SequentialState, j: int, value: float, lowers: bool) -> Seque
         raise TypeError(f"position {j!r} is not an integer")
     engine = state._reroot()
     m = engine.z.size
-    if not 1 <= j <= m:
-        raise IndexError(f"position must be in 1..{m}, got {j}")
+    if not 1 <= j <= m:  # refused before z[j-1] is read: j = 0 would read z[-1]
+        raise IndexError(f"position {j} is outside 1..{m}")
     value = float(value)
     old = engine.z.item(j - 1)
     if not lowers and value <= old:

@@ -36,12 +36,12 @@ def _announce(label):
 
 def test_fixed_vector_batch_fit(mixed_series):
     blocks = fit_standard(mixed_series)
-    assert_array_equal(blocks.partition.boundaries, [0, 3, 7, 9])
+    assert_array_equal(blocks.boundaries, [0, 3, 7, 9])
     assert_allclose(blocks.means, [2.0, 0.125, 0.0], rtol=0, atol=1e-12)
 
     snapshots = list(iter_prefix_fits(mixed_series))
     after7 = snapshots[6]
-    assert_array_equal(after7.partition.boundaries, [0, 3, 7])
+    assert_array_equal(after7.boundaries, [0, 3, 7])
     assert abs(after7.means[1] - 0.125) <= 1e-12
 
     best = min(_timed(fit_standard, mixed_series) for _ in range(50))
@@ -59,12 +59,12 @@ def test_single_increase_updates(mixed_series):
     state = init(mixed_series)
 
     raised_mid = update_increase(state, 5, 1.0)
-    assert_array_equal(raised_mid.blocks.partition.boundaries, [0, 3, 6, 7, 9])
+    assert_array_equal(raised_mid.blocks.boundaries, [0, 3, 6, 7, 9])
     want_mid = [2.0, 2.0, 2.0, 2 / 3, 2 / 3, 2 / 3, 0.5, 0.0, 0.0]
     assert_allclose(raised_mid.fit(), want_mid, rtol=0, atol=1e-12)
 
     raised_left = update_increase(state, 4, 2.0)
-    assert_array_equal(raised_left.blocks.partition.boundaries, [0, 4, 7, 9])
+    assert_array_equal(raised_left.blocks.boundaries, [0, 4, 7, 9])
     want_left = [2.0, 2.0, 2.0, 2.0, 1 / 6, 1 / 6, 1 / 6, 0.0, 0.0]
     assert_allclose(raised_left.fit(), want_left, rtol=0, atol=1e-12)
 
@@ -133,11 +133,11 @@ def sequential_trials():
             batch = fit_standard(WeightedSeries(new_state.z, w))
             gap = float(np.max(np.abs(new_state.fit() - expand(batch))))
             outcome["max_gap"] = max(outcome["max_gap"], gap)
-            new_bounds = new_state.blocks.partition.boundaries
-            if not np.array_equal(new_bounds, batch.partition.boundaries):
+            new_bounds = new_state.blocks.boundaries
+            if not np.array_equal(new_bounds, batch.boundaries):
                 outcome["partition_mismatch"] = (trial, new_state.z.tolist())
 
-            old_bounds = state.blocks.partition.boundaries
+            old_bounds = state.blocks.boundaries
             touched_end = int(old_bounds[int(np.searchsorted(old_bounds, j))])
             old_fit = state.fit()
             new_fit = new_state.fit()

@@ -63,7 +63,7 @@ class TestFit:
         assert json.loads(out)["fit"] == [1e308, 1e308]
 
     def test_non_finite_output_exits_1(self, capsys, monkeypatch, mixed_file):
-        monkeypatch.setattr(cli, "expand", lambda blocks: np.full(blocks.partition.m, np.inf))
+        monkeypatch.setattr(cli, "expand", lambda blocks: np.full(blocks.m, np.inf))
         code, out, err = run_cli(capsys, "fit", mixed_file)
         assert code == 1
         assert "Infinity" not in out
@@ -574,6 +574,18 @@ class TestFileFormat:
         code, _, err = run_cli(capsys, "fit", series, "--changes", changes)
         assert code == 2
         assert "line 1:" in err
+
+    @pytest.mark.parametrize("index", [0, MIXED_Z.size + 1])
+    def test_change_position_out_of_range_reads_alike_in_every_variant(
+        self, capsys, tmp_path, mixed_file, index
+    ):
+        changes = write(tmp_path / "c.csv", f"2,0\n{index},1\n")
+        runs = [
+            run_cli(capsys, "fit", mixed_file, "--variant", variant, "--changes", changes)
+            for variant in ("standard", "modified", "abridged")
+        ]
+        want = (1, "", f"error: position {index} is outside 1..{MIXED_Z.size}\n")
+        assert runs == [want] * 3
 
     @pytest.mark.parametrize("variant", ["standard", "modified", "abridged"])
     def test_empty_changes_file_is_no_changes(self, capsys, tmp_path, mixed_file, variant):

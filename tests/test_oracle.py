@@ -54,7 +54,7 @@ class TestCheckFit:
             s = random_integer_series(rng)
             blocks = fit_standard(s)
             fit = expand(blocks)
-            for b, (lo, hi) in enumerate(blocks.partition.blocks()):
+            for b, (lo, hi) in enumerate(blocks.blocks()):
                 for delta in (0.5, -0.5):
                     tampered = fit.copy()
                     tampered[lo - 1 : hi] += delta

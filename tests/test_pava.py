@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from seqpava import (
-    BlockPartition,
     FittedBlocks,
     WeightedSeries,
     check_fit,
@@ -58,7 +57,7 @@ class TestWeightedSeries:
 
     def test_single_element_accepted(self):
         blocks = fit_standard(WeightedSeries([5.0], [7.0]))
-        assert_array_equal(blocks.partition.boundaries, [0, 1])
+        assert_array_equal(blocks.boundaries, [0, 1])
         assert_array_equal(blocks.means, [5.0])
 
 
@@ -92,35 +91,45 @@ class TestWeightedMean:
 
 class TestBlockTypes:
     def test_partition_access(self):
-        p = BlockPartition([0, 3, 7, 9])
-        assert p.d == 3 and p.m == 9
-        assert list(p.blocks()) == [(1, 3), (4, 7), (8, 9)]
-        assert_array_equal(p.lengths(), [3, 4, 2])
+        blocks = FittedBlocks([0, 3, 7, 9], [2.0, 0.125, 0.0], [3.0, 4.0, 2.0])
+        assert blocks.d == 3 and blocks.m == 9
+        assert list(blocks.blocks()) == [(1, 3), (4, 7), (8, 9)]
+        assert_array_equal(expand(blocks), MIXED_FIT)
+
+    def test_partition_is_the_fit_itself(self, mixed_series):
+        blocks = fit_standard(mixed_series)
+        assert blocks.partition is blocks
 
     @pytest.mark.parametrize("bounds", [[0], [1, 2], [0, 3, 3], [0, 4, 2]])
     def test_partition_rejects_bad_boundaries(self, bounds):
-        with pytest.raises(ValueError):
-            BlockPartition(bounds)
+        if len(bounds) < 2:
+            message = r"^boundaries must hold at least \(0, b_1\)$"
+        else:
+            message = r"^boundaries must start at 0 and increase strictly$"
+        d = len(bounds) - 1
+        means, weights = np.arange(d, 0.0, -1.0), np.ones(d)  # valid for d blocks
+        with pytest.raises(ValueError, match=message):
+            FittedBlocks(bounds, means, weights)
 
     def test_blocks_reject_non_decreasing_means(self):
-        with pytest.raises(ValueError):
-            FittedBlocks(BlockPartition([0, 1, 2]), [1.0, 1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="^block means must be strictly decreasing$"):
+            FittedBlocks([0, 1, 2], [1.0, 1.0], [1.0, 1.0])
 
     @pytest.mark.parametrize(
         "means, weights", [([np.inf], [1.0]), ([np.nan], [1.0]), ([1.0], [np.inf])]
     )
     def test_blocks_reject_non_finite_values(self, means, weights):
-        with pytest.raises(ValueError, match="finite"):
-            FittedBlocks(BlockPartition([0, 2]), means, weights)
+        with pytest.raises(ValueError, match="^block means and weights must be finite$"):
+            FittedBlocks([0, 2], means, weights)
 
     def test_blocks_reject_length_mismatch(self):
-        with pytest.raises(ValueError):
-            FittedBlocks(BlockPartition([0, 1, 2]), [1.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="^expected 2 block means and weights, got 1 and 2$"):
+            FittedBlocks([0, 1, 2], [1.0], [1.0, 1.0])
 
     def test_validate_catches_corruption(self, mixed_series):
         good = fit_standard(mixed_series)
         good.validate(mixed_series)
-        tampered = FittedBlocks(good.partition, good.means + [0.0, 0.5, 0.0], good.weights)
+        tampered = FittedBlocks(good.boundaries, good.means + [0.0, 0.5, 0.0], good.weights)
         with pytest.raises(ValueError):
             tampered.validate(mixed_series)
 
@@ -131,26 +140,26 @@ class TestBlockTypes:
     def test_opposite_huge_means_give_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            blocks = FittedBlocks(BlockPartition([0, 1, 2]), [1e308, -1e308], [1.0, 1.0])
+            blocks = FittedBlocks([0, 1, 2], [1e308, -1e308], [1.0, 1.0])
         assert_array_equal(blocks.means, [1e308, -1e308])
 
 
 class TestFitStandard:
     def test_mixed_vector(self, mixed_series):
         blocks = fit_standard(mixed_series)
-        assert_array_equal(blocks.partition.boundaries, MIXED_BOUNDS)
+        assert_array_equal(blocks.boundaries, MIXED_BOUNDS)
         assert_allclose(blocks.means, MIXED_MEANS, rtol=0, atol=1e-12)
         assert_array_equal(blocks.weights, [3.0, 4.0, 2.0])
 
     def test_decreasing_input_kept(self):
         blocks = fit_standard(WeightedSeries([3.0, 2.0, 1.0], [1.0, 2.0, 3.0]))
-        assert_array_equal(blocks.partition.boundaries, [0, 1, 2, 3])
+        assert_array_equal(blocks.boundaries, [0, 1, 2, 3])
         assert_array_equal(blocks.means, [3.0, 2.0, 1.0])
 
     def test_two_point_pool(self):
         # fully pooled pair; expected value frozen from the interval-enumeration oracle
         blocks = fit_standard(WeightedSeries([0.0, 1.0], [1.0, 3.0]))
-        assert_array_equal(blocks.partition.boundaries, [0, 2])
+        assert_array_equal(blocks.boundaries, [0, 2])
         assert_allclose(blocks.means, [0.75], rtol=0, atol=1e-12)
 
     def test_huge_equal_values_pool_without_overflow(self):
@@ -158,16 +167,16 @@ class TestFitStandard:
             series = WeightedSeries(z)
             last_prefix = list(iter_prefix_fits(series))[-1]
             for blocks in (fit_standard(series), fit_modified(series), last_prefix):
-                assert_array_equal(blocks.partition.boundaries, [0, 2])
+                assert_array_equal(blocks.boundaries, [0, 2])
                 assert_array_equal(blocks.means, [mean])
 
     def test_prefix_trace(self, mixed_series):
         snapshots = list(iter_prefix_fits(mixed_series))
         assert len(snapshots) == 9
         after7 = snapshots[6]
-        assert_array_equal(after7.partition.boundaries, [0, 3, 7])
+        assert_array_equal(after7.boundaries, [0, 3, 7])
         assert after7.means[1] == 0.125
-        assert_array_equal(snapshots[-1].partition.boundaries, MIXED_BOUNDS)
+        assert_array_equal(snapshots[-1].boundaries, MIXED_BOUNDS)
         # every snapshot is the standard fit of its prefix, bit for bit, on
         # series with ties and weights that make the pooled means round
         rng = np.random.default_rng(16)
@@ -177,7 +186,7 @@ class TestFitStandard:
             w = rng.uniform(0.1, 3.0, size=m)
             for j, blocks in enumerate(iter_prefix_fits(WeightedSeries(z, w)), start=1):
                 want = fit_standard(WeightedSeries(z[:j], w[:j]))
-                assert_array_equal(blocks.partition.boundaries, want.partition.boundaries)
+                assert_array_equal(blocks.boundaries, want.boundaries)
                 for got, ref in ((blocks.means, want.means), (blocks.weights, want.weights)):
                     assert got.view(np.uint64).tolist() == ref.view(np.uint64).tolist()
 
@@ -188,7 +197,7 @@ class TestFitModified:
         for m in (3, 20):
             series = WeightedSeries([1.0] + [0.0] * (m - 1), [1e20] + [1.0] * (m - 1))
             blocks = fit_modified(series)
-            assert_array_equal(blocks.partition.boundaries, [0, 1, m])
+            assert_array_equal(blocks.boundaries, [0, 1, m])
             assert_array_equal(blocks.weights, [1e20, m - 1])
 
     def test_spans_shorter_than_sixteen_enter_index_by_index(self, pushed):
@@ -200,19 +209,19 @@ class TestFitModified:
 
     def test_two_constant_runs(self):
         blocks = fit_modified(WeightedSeries([1.0, 1.0, 1.0, 0.0, 0.0]))
-        assert_array_equal(blocks.partition.boundaries, [0, 3, 5])
+        assert_array_equal(blocks.boundaries, [0, 3, 5])
         assert_array_equal(blocks.means, [1.0, 0.0])
 
     def test_full_pool_of_runs(self):
         # expected value frozen from the interval-enumeration oracle
         blocks = fit_modified(WeightedSeries([0.0, 0.0, 1.0, 1.0]))
-        assert_array_equal(blocks.partition.boundaries, [0, 4])
+        assert_array_equal(blocks.boundaries, [0, 4])
         assert_allclose(blocks.means, [0.5], rtol=0, atol=1e-12)
 
     def test_matches_standard_on_mixed(self, mixed_series):
         a = fit_standard(mixed_series)
         b = fit_modified(mixed_series)
-        assert_array_equal(a.partition.boundaries, b.partition.boundaries)
+        assert_array_equal(a.boundaries, b.boundaries)
         assert_array_equal(a.means, b.means)
         assert_array_equal(a.weights, b.weights)
 
@@ -227,21 +236,21 @@ class TestFitModified:
             s = WeightedSeries(z, w)
             a = fit_standard(s)
             b = fit_modified(s)
-            assert_array_equal(a.partition.boundaries, b.partition.boundaries)
+            assert_array_equal(a.boundaries, b.boundaries)
             assert_allclose(a.means, b.means, rtol=0, atol=1e-12)
 
 
 class TestExpand:
     def test_three_blocks(self):
-        blocks = FittedBlocks(BlockPartition([0, 3, 7, 9]), [2.0, 0.125, 0.0], [3.0, 4.0, 2.0])
+        blocks = FittedBlocks([0, 3, 7, 9], [2.0, 0.125, 0.0], [3.0, 4.0, 2.0])
         assert_array_equal(expand(blocks), MIXED_FIT)
 
     def test_single_block(self):
-        blocks = FittedBlocks(BlockPartition([0, 1]), [5.0], [1.0])
+        blocks = FittedBlocks([0, 1], [5.0], [1.0])
         assert_array_equal(expand(blocks), [5.0])
 
     def test_two_blocks(self):
-        blocks = FittedBlocks(BlockPartition([0, 2, 3]), [1.0, 0.0], [2.0, 1.0])
+        blocks = FittedBlocks([0, 2, 3], [1.0, 0.0], [2.0, 1.0])
         assert_array_equal(expand(blocks), [1.0, 1.0, 0.0])
 
 
@@ -278,7 +287,7 @@ class TestFitProperties:
             s = random_integer_series(rng)
             a = fit_standard(s)
             b = fit_modified(s)
-            assert_array_equal(a.partition.boundaries, b.partition.boundaries)
+            assert_array_equal(a.boundaries, b.boundaries)
             assert_allclose(a.means, b.means, rtol=0, atol=1e-12)
 
     def test_fits_pass_check_fit(self):

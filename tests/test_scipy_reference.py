@@ -80,7 +80,7 @@ def touched_block_series(fractional: bool, length: int):
 def test_update_increase_matches_scipy(fractional, length, remainder):
     series, b_end = touched_block_series(fractional, length)
     state = init(series)
-    bounds = state.blocks.partition.boundaries
+    bounds = state.blocks.boundaries
     assert b_end in bounds and 5 in bounds and bounds.size >= 5
     assert not ((bounds > 5) & (bounds < b_end)).any()
     j0 = b_end - remainder
@@ -91,7 +91,7 @@ def test_update_increase_matches_scipy(fractional, length, remainder):
     # everything right of the touched block is reused bit for bit
     assert_array_equal(new.fit()[b_end:], expand(state.blocks)[b_end:])
     old_right = bounds > b_end
-    new_bounds = new.blocks.partition.boundaries
+    new_bounds = new.blocks.boundaries
     new_right = new_bounds > b_end
     assert_array_equal(new_bounds[new_right], bounds[old_right])
     assert_array_equal(new.blocks.means[new_right[1:]], state.blocks.means[old_right[1:]])
@@ -107,7 +107,7 @@ def test_update_decrease_matches_scipy(fractional, length, head, pool_right):
     # value is low enough
     series, b_end = touched_block_series(fractional, length)
     state = init(series)
-    bounds = state.blocks.partition.boundaries
+    bounds = state.blocks.boundaries
     assert b_end in bounds and 5 in bounds and bounds.size >= 5
     assert not ((bounds > 5) & (bounds < b_end)).any()
     j0 = 5 + head + 1
@@ -119,7 +119,7 @@ def test_update_decrease_matches_scipy(fractional, length, head, pool_right):
     # everything left of the touched block is reused bit for bit
     assert_array_equal(new.fit()[:5], expand(state.blocks)[:5])
     old_left = bounds <= 5
-    new_bounds = new.blocks.partition.boundaries
+    new_bounds = new.blocks.boundaries
     new_left = new_bounds <= 5
     assert_array_equal(new_bounds[new_left], bounds[old_left])
     assert_array_equal(new.blocks.means[new_left[1:]], state.blocks.means[old_left[1:]])

@@ -15,38 +15,38 @@ from conftest import MIXED_BOUNDS, MIXED_MEANS, MIXED_Z
 class TestInit:
     def test_zero_vector_single_block(self):
         state = init(WeightedSeries(np.zeros(5)))
-        assert_array_equal(state.blocks.partition.boundaries, [0, 5])
+        assert_array_equal(state.blocks.boundaries, [0, 5])
         assert_array_equal(state.blocks.means, [0.0])
         assert state.provenance == "initial"
 
     def test_mixed_vector(self):
         state = init(WeightedSeries(MIXED_Z))
-        assert_array_equal(state.blocks.partition.boundaries, MIXED_BOUNDS)
+        assert_array_equal(state.blocks.boundaries, MIXED_BOUNDS)
         assert_allclose(state.blocks.means, MIXED_MEANS, rtol=0, atol=1e-12)
 
     def test_two_singletons(self):
         state = init(WeightedSeries([1.0, 0.0]))
-        assert_array_equal(state.blocks.partition.boundaries, [0, 1, 2])
+        assert_array_equal(state.blocks.boundaries, [0, 1, 2])
         assert_array_equal(state.blocks.means, [1.0, 0.0])
 
 
 class TestUpdateIncrease:
     def test_raise_inside_middle_block(self):
         state = update_increase(init(WeightedSeries(MIXED_Z)), 5, 1.0)
-        assert_array_equal(state.blocks.partition.boundaries, [0, 3, 6, 7, 9])
+        assert_array_equal(state.blocks.boundaries, [0, 3, 6, 7, 9])
         want = [2.0, 2.0, 2.0, 2 / 3, 2 / 3, 2 / 3, 0.5, 0.0, 0.0]
         assert_allclose(state.fit(), want, rtol=0, atol=1e-12)
         assert state.provenance == "abridged"
 
     def test_raise_pools_into_left_block(self):
         state = update_increase(init(WeightedSeries(MIXED_Z)), 4, 2.0)
-        assert_array_equal(state.blocks.partition.boundaries, [0, 4, 7, 9])
+        assert_array_equal(state.blocks.boundaries, [0, 4, 7, 9])
         want = [2.0, 2.0, 2.0, 2.0, 1 / 6, 1 / 6, 1 / 6, 0.0, 0.0]
         assert_allclose(state.fit(), want, rtol=0, atol=1e-12)
 
     def test_pair_pools_to_single_block(self):
         state = update_increase(init(WeightedSeries([1.0, 0.0])), 2, 1.0)
-        assert_array_equal(state.blocks.partition.boundaries, [0, 2])
+        assert_array_equal(state.blocks.boundaries, [0, 2])
         assert_allclose(state.fit(), minmax_fit(WeightedSeries([1.0, 1.0])), rtol=0, atol=1e-12)
 
     def test_weights_after_large_weight_are_not_cancelled(self):
@@ -55,14 +55,14 @@ class TestUpdateIncrease:
         for m in (3, 20):
             series = WeightedSeries(np.zeros(m), [1e20] + [1.0] * (m - 1))
             state = update_increase(init(series), 1, 2.0)
-            assert_array_equal(state.blocks.partition.boundaries, [0, 1, m])
+            assert_array_equal(state.blocks.boundaries, [0, 1, m])
             assert_array_equal(state.blocks.means, [2.0, 0.0])
             assert_array_equal(state.blocks.weights, [1e20, m - 1])
 
     def test_head_weight_after_large_weight_is_not_cancelled(self):
         series = WeightedSeries([1.0, 0.0, 0.0, 0.0], [1e20, 1.0, 1.0, 1.0])
         state = update_increase(init(series), 4, 0.5)
-        assert_array_equal(state.blocks.partition.boundaries, [0, 1, 4])
+        assert_array_equal(state.blocks.boundaries, [0, 1, 4])
         assert_array_equal(state.blocks.weights, [1e20, 3.0])
         assert_allclose(state.blocks.means, [1.0, 1 / 6], rtol=1e-15)
 
@@ -70,7 +70,7 @@ class TestUpdateIncrease:
         before = init(WeightedSeries(MIXED_Z))
         update_increase(before, 5, 1.0)
         assert_array_equal(before.z, MIXED_Z)
-        assert_array_equal(before.blocks.partition.boundaries, MIXED_BOUNDS)
+        assert_array_equal(before.blocks.boundaries, MIXED_BOUNDS)
 
     def test_rejects_equal_and_smaller_values(self):
         state = init(WeightedSeries(MIXED_Z))
@@ -81,10 +81,11 @@ class TestUpdateIncrease:
 
     def test_rejects_bad_positions_and_values(self):
         state = init(WeightedSeries(MIXED_Z))
-        with pytest.raises(IndexError):
-            update_increase(state, 0, 1.0)
-        with pytest.raises(IndexError):
-            update_increase(state, 10, 1.0)
+        # -5 lies below every response: reading z[j-1] first would blame a decrease
+        for j in (0, MIXED_Z.size + 1):
+            for update in (update_increase, update_any):
+                with pytest.raises(IndexError, match=rf"^position {j} is outside 1\.\.9$"):
+                    update(state, j, -5.0)
         with pytest.raises(ValueError):
             update_increase(state, 5, np.inf)
         # positions that are not integers are named before anything is read
@@ -93,7 +94,7 @@ class TestUpdateIncrease:
                 with pytest.raises(TypeError, match=rf"^position {re.escape(repr(j))} is not an integer$"):
                     update(state, j, 9.0)
         assert_array_equal(state.z, MIXED_Z)
-        assert_array_equal(state.blocks.partition.boundaries, MIXED_BOUNDS)
+        assert_array_equal(state.blocks.boundaries, MIXED_BOUNDS)
 
 
 class TestUpdateAny:
@@ -105,7 +106,7 @@ class TestUpdateAny:
         state = init(WeightedSeries(MIXED_Z))
         fast = update_any(state, 5, 1.0)
         direct = update_increase(state, 5, 1.0)
-        assert_array_equal(fast.blocks.partition.boundaries, direct.blocks.partition.boundaries)
+        assert_array_equal(fast.blocks.boundaries, direct.blocks.boundaries)
         assert_array_equal(fast.blocks.means, direct.blocks.means)
 
     def test_decrease_recomputes(self):
@@ -113,7 +114,7 @@ class TestUpdateAny:
         z = MIXED_Z.copy()
         z[1] = 0.0
         want = fit_modified(WeightedSeries(z))
-        assert_array_equal(state.blocks.partition.boundaries, want.partition.boundaries)
+        assert_array_equal(state.blocks.boundaries, want.boundaries)
         assert_allclose(state.blocks.means, want.means, rtol=0, atol=1e-12)
         assert state.provenance == "abridged"
 
@@ -169,7 +170,7 @@ class TestUpdateAny:
         assert snapshots == [state.engine]
         assert_allclose(fitted, expand(fit_standard(WeightedSeries(z))), rtol=0, atol=1e-12)
         want = fit_standard(WeightedSeries(branch.z))
-        assert_array_equal(branch.blocks.partition.boundaries, want.partition.boundaries)
+        assert_array_equal(branch.blocks.boundaries, want.boundaries)
         assert_allclose(branch.fit(), expand(want), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
@@ -208,13 +209,13 @@ class TestSequenceProperties:
         for state, j, new_state in _random_walk(101, sequences=30, updates=50, max_m=25):
             batch = fit_standard(WeightedSeries(new_state.z, new_state.w))
             assert_array_equal(
-                new_state.blocks.partition.boundaries, batch.partition.boundaries
+                new_state.blocks.boundaries, batch.boundaries
             )
             assert_allclose(new_state.fit(), expand(batch), rtol=0, atol=1e-12)
 
     def test_update_order_properties(self):
         for state, j, new_state in _random_walk(102, sequences=30, updates=50, max_m=25):
-            old_bounds = state.blocks.partition.boundaries
+            old_bounds = state.blocks.boundaries
             s0 = int(np.searchsorted(old_bounds, j))
             touched_end = int(old_bounds[s0])
 
@@ -225,7 +226,7 @@ class TestSequenceProperties:
             # everything strictly right of the touched block is reused bit for bit
             assert_array_equal(new_fit[touched_end:], old_fit[touched_end:])
             # boundaries left of the touched position only disappear, never appear
-            new_bounds = new_state.blocks.partition.boundaries
+            new_bounds = new_state.blocks.boundaries
             old_left = set(old_bounds[(old_bounds > 0) & (old_bounds < j)].tolist())
             new_left = set(new_bounds[(new_bounds > 0) & (new_bounds < j)].tolist())
             assert new_left <= old_left
@@ -246,10 +247,10 @@ ROUNDED_SEAM_Z = [1, 3, 1, 0, -2, 1, 1, 0, -3, -2, -2, 3, 3, -3, 0, 1, 3, -3, 3,
 @pytest.mark.parametrize("update", [update_increase, update_any])
 def test_increase_pools_across_a_rounded_seam(update):
     state = init(WeightedSeries(ROUNDED_SEAM_Z))
-    assert_array_equal(state.blocks.partition.boundaries, [0, 2, 3, 17, 20])
+    assert_array_equal(state.blocks.boundaries, [0, 2, 3, 17, 20])
     new = update(state, 8, 2.0)
     # the rest of the touched block, 9..17, now has mean exactly 0.0, as 18..20 has
-    assert_array_equal(new.blocks.partition.boundaries, [0, 2, 3, 8, 20])
+    assert_array_equal(new.blocks.boundaries, [0, 2, 3, 8, 20])
     assert_allclose(new.fit(), minmax_fit(WeightedSeries(new.z)), rtol=0, atol=1e-12)
 
 
@@ -284,9 +285,9 @@ class TestMixedSequences:
                 continue
             decreases += 1
             assert new.provenance == "abridged"
-            old_bounds = old.blocks.partition.boundaries
+            old_bounds = old.blocks.boundaries
             s0 = int(np.searchsorted(old_bounds, j))  # old block s0 covers j
-            new_bounds = new.blocks.partition.boundaries
+            new_bounds = new.blocks.boundaries
             # every block strictly left of the touched one is reused bit for bit
             assert_array_equal(new_bounds[:s0], old_bounds[:s0])
             assert_array_equal(new.blocks.means[: s0 - 1], old.blocks.means[: s0 - 1])
@@ -373,7 +374,7 @@ def test_branching_states_keep_their_own_fits(data):
     for k in data.draw(st.permutations(range(len(states)))):
         _assert_holds(states[k], references[k])
         blocks = states[k].blocks
-        assert _bits(blocks.partition.boundaries) == _bits(references[k].bounds)
+        assert _bits(blocks.boundaries) == _bits(references[k].bounds)
         assert _bits(blocks.means) == _bits(references[k].means)
         assert _bits(blocks.weights) == _bits(references[k].weights)
         want = minmax_fit(WeightedSeries(references[k].z, series.w))
@@ -503,7 +504,7 @@ def test_engine_set_many_pools_interior_runs_of_huge_values_and_weights(pushed):
     # position 1, position 2 alone, 18 pairs, position 39 alone, position 40
     assert pushed == [1, 20, 1]
     want = fit_standard(WeightedSeries(z, w))
-    assert_array_equal(fit.bounds, want.partition.boundaries)
+    assert_array_equal(fit.bounds, want.boundaries)
     assert_allclose(fit.means, want.means, rtol=1e-15)
 
 
@@ -581,7 +582,7 @@ def test_engine_set_many_takes_numpy_batches(monkeypatch):
     fit = BlockFit(WeightedSeries(MIXED_Z))
     fit.set_many(np.array([2, 5, 9]), np.array([0.0, 4.0, -1.0]))
     want = fit_standard(WeightedSeries(fit.z))
-    assert_array_equal(fit.bounds, want.partition.boundaries)
+    assert_array_equal(fit.bounds, want.boundaries)
     assert_allclose(fit.means, want.means, rtol=0, atol=1e-12)
     # a short batch and one checked in bulk: numpy positions do what a list
     # does, where True is 1, and leave Python integers in the fit

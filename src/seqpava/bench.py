@@ -19,6 +19,8 @@ __all__ = [
     "run_benchmark",
 ]
 
+_X_RANGE = (0.0, 10.0)  # the covariates are uniform on this interval
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -27,7 +29,6 @@ class ExperimentConfig:
     n: int = 1000
     replications: int = 20
     seed: int = 0
-    x_range: tuple[float, float] = (0.0, 10.0)
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -36,9 +37,6 @@ class ExperimentConfig:
             raise ValueError("need at least one replication")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        lo, hi = self.x_range
-        if not lo < hi:
-            raise ValueError("x_range must be an increasing pair")
 
 
 def response_shape(x):
@@ -61,14 +59,13 @@ def generate_dataset(config: ExperimentConfig, replication_index: int) -> np.nda
     """One synthetic dataset as an (n, 2) array of (x, y) rows.
 
     Deterministic in ``(config.seed, replication_index)``: covariates are
-    uniform on the configured range, responses are gamma with
-    covariate-dependent shape and scale.
+    uniform on [0, 10], responses are gamma with covariate-dependent shape
+    and scale.
     """
     if replication_index < 0:
         raise ValueError("replication index must be non-negative")
     rng = np.random.default_rng([config.seed, replication_index])
-    lo, hi = config.x_range
-    x = rng.uniform(lo, hi, config.n)
+    x = rng.uniform(*_X_RANGE, config.n)
     y = sample_responses(x, rng)
     return np.column_stack((x, y))
 
@@ -114,13 +111,13 @@ class TimingReport:
         return float(arr.std(ddof=1)) if arr.size > 1 else 0.0
 
     def to_dict(self) -> dict:
-        pairs = (("standard", "modified"), ("standard", "abridged"), ("modified", "abridged"))
+        pairs = [(a, b) for row, b in enumerate(VARIANTS) for a in VARIANTS[:row]]
         return {
             "config": {
                 "n": self.config.n,
                 "replications": self.config.replications,
                 "seed": self.config.seed,
-                "x_range": list(self.config.x_range),
+                "x_range": list(_X_RANGE),
             },
             "times": {v: list(self.times[v]) for v in VARIANTS},
             "stats": {
@@ -137,30 +134,21 @@ class TimingReport:
         return json.dumps(self.to_dict(), indent=2)
 
     def format_table(self) -> str:
-        """Aligned text table: one row per variant, ratio columns on the right."""
+        """Aligned text table: one row per variant, ratio columns on the right.
+
+        The row of each variant holds its time ratio to every variant listed
+        before it, standard's column first; the other ratio cells are blank.
+        """
         header = (
             f"{'variant':<10} {'mean T [s]':>12} {'sd T [s]':>12} "
             f"{'T1/Tj mean':>12} {'T1/Tj sd':>10} {'T2/T3 mean':>12} {'T2/T3 sd':>10}"
         )
         lines = [header]
-        for variant in VARIANTS:
+        for row, variant in enumerate(VARIANTS):
             cells = [f"{variant:<10}", f"{self.mean(variant):>12.6f}", f"{self.sd(variant):>12.6f}"]
-            if variant == "standard":
-                cells += [f"{'':>12}", f"{'':>10}", f"{'':>12}", f"{'':>10}"]
-            elif variant == "modified":
-                cells += [
-                    f"{self.ratio_mean('standard', 'modified'):>12.4f}",
-                    f"{self.ratio_sd('standard', 'modified'):>10.4f}",
-                    f"{'':>12}",
-                    f"{'':>10}",
-                ]
-            else:
-                cells += [
-                    f"{self.ratio_mean('standard', 'abridged'):>12.4f}",
-                    f"{self.ratio_sd('standard', 'abridged'):>10.4f}",
-                    f"{self.ratio_mean('modified', 'abridged'):>12.4f}",
-                    f"{self.ratio_sd('modified', 'abridged'):>10.4f}",
-                ]
+            for a in VARIANTS[:row]:
+                cells += [f"{self.ratio_mean(a, variant):>12.4f}", f"{self.ratio_sd(a, variant):>10.4f}"]
+            cells += [f"{'':>12}", f"{'':>10}"] * (len(VARIANTS) - 1 - row)
             lines.append(" ".join(cells))
         return "\n".join(lines)
 
@@ -169,10 +157,11 @@ def run_benchmark(config: ExperimentConfig) -> TimingReport:
     """Time the three variants on identical datasets.
 
     One untimed warm-up fit per variant precedes measurement. The timed
-    section covers grouping and fitting; data generation is excluded. The
-    three estimates for each dataset must agree to within 1e-12 before any
-    timing is reported, since timing computations that disagree would be
-    meaningless.
+    section covers grouping and fitting; data generation is excluded. Every
+    recorded CDF value is one division of exact integer sums, so the three
+    estimates of a dataset are bit-identical: unless every variant's
+    thresholds and CDF equal standard's exactly, it raises RuntimeError and
+    reports no timing.
     """
     warm = generate_dataset(config, 0)
     for variant in VARIANTS:
@@ -181,23 +170,16 @@ def run_benchmark(config: ExperimentConfig) -> TimingReport:
     times: dict = {variant: [] for variant in VARIANTS}
     for r in range(config.replications):
         pairs = generate_dataset(config, r)
-        estimates = {}
+        estimates = []
         for variant in VARIANTS:
             start = perf_counter()
-            estimate = fit_family(group(pairs), variant)
+            estimates.append(fit_family(group(pairs), variant))
             times[variant].append(perf_counter() - start)
-            estimates[variant] = estimate
-        reference = estimates["standard"]
-        for variant in ("modified", "abridged"):
-            estimate = estimates[variant]
-            if (
-                estimate.thresholds.shape != reference.thresholds.shape
-                or (estimate.thresholds != reference.thresholds).any()
+        standard = estimates[0]
+        for variant, estimate in zip(VARIANTS[1:], estimates[1:]):
+            if not (
+                np.array_equal(estimate.thresholds, standard.thresholds)
+                and np.array_equal(estimate.cdf, standard.cdf)
             ):
-                raise RuntimeError(f"{variant} produced different thresholds on replication {r}")
-            gap = float(np.max(np.abs(estimate.cdf - reference.cdf)))
-            if gap > 1e-12:
-                raise RuntimeError(
-                    f"{variant} disagrees with standard by {gap} on replication {r}"
-                )
+                raise RuntimeError(f"{variant} differs from standard on replication {r}")
     return TimingReport(config, {v: tuple(ts) for v, ts in times.items()})

@@ -11,11 +11,12 @@ import json
 import sys
 import warnings
 from contextlib import nullcontext
+from math import isfinite
 
 import numpy as np
 
 from .idr import VARIANTS, DistributionFamilyEstimate, fit_family, group
-from .pava import WeightedSeries, expand, fit_modified, fit_standard
+from .pava import BlockFit, WeightedSeries, expand, fit_modified, fit_standard
 from .sequential import init, update_any
 
 DEFAULT_BETAS = "0.1,0.25,0.5,0.75,0.9"
@@ -237,8 +238,8 @@ def cmd_fit(args) -> int:
         if changes:
             z = series.z.copy()
             for index, value in changes:
-                if not 1 <= index <= z.size:
-                    raise IndexError(f"position {index} is outside 1..{z.size}")
+                if not (1 <= index <= z.size and isfinite(value)):
+                    BlockFit(series).set(index, value)  # raises the engine's message
                 z[index - 1] = value
             series = WeightedSeries(z, series.w)
         blocks = fit_standard(series) if args.variant == "standard" else fit_modified(series)

@@ -233,7 +233,7 @@ def fit_family(obs: ObservationSet, variant: str = "abridged") -> DistributionFa
     # over the cells in (group, threshold) order, less the earlier groups' totals
     order = np.argsort(cell_groups, kind="stable")
     sizes = np.diff(starts, append=n)
-    totals = np.bincount(obs.group_index, minlength=m)
+    totals = w.astype(np.int64)  # ObservationSet checked that w counts each group
     cell_counts = np.empty_like(sizes)
     cell_counts[order] = np.cumsum(sizes[order]) - (np.cumsum(totals) - totals)[cell_groups[order]]
     positions = cell_groups + 1

@@ -71,13 +71,13 @@ def minmax_fit(series: WeightedSeries) -> np.ndarray:
     return fit
 
 
-def check_fit(fit, series: WeightedSeries, tol: float = _TOL) -> FitCheck:
+def check_fit(fit, series: WeightedSeries) -> FitCheck:
     """Certify that ``fit`` is the non-increasing least-squares fit of ``series``.
 
-    Checks, per constant block B of the fit at level xi: every suffix of B
-    has weighted mean >= xi - tol, every prefix of B has weighted mean
-    <= xi + tol, and the block mean equals xi within tol. A fit that is not
-    non-increasing is flagged before any level check.
+    Checks, per constant block B of the fit at level xi, with tol = 1e-9:
+    every suffix of B has weighted mean >= xi - tol, every prefix of B has
+    weighted mean <= xi + tol, and the block mean equals xi within tol. A fit
+    that is not non-increasing is flagged before any level check.
     """
     f = np.asarray(fit, dtype=float)
     if f.ndim != 1 or f.size != series.m:
@@ -99,16 +99,16 @@ def check_fit(fit, series: WeightedSeries, tol: float = _TOL) -> FitCheck:
         a = a0 + 1
         xi = float(f[a - 1])
         for i in range(a, b + 1):
-            if mean(i, b) < xi - tol:
+            if mean(i, b) < xi - _TOL:
                 return FitCheck(
                     False, f"suffix {i}..{b} has mean {mean(i, b)} below level {xi}"
                 )
         for i in range(a, b + 1):
-            if mean(a, i) > xi + tol:
+            if mean(a, i) > xi + _TOL:
                 return FitCheck(
                     False, f"prefix {a}..{i} has mean {mean(a, i)} above level {xi}"
                 )
-        if abs(mean(a, b) - xi) > tol:
+        if abs(mean(a, b) - xi) > _TOL:
             return FitCheck(
                 False, f"block {a}..{b} has mean {mean(a, b)}, level is {xi}"
             )

@@ -179,22 +179,22 @@ class FittedBlocks:
         for s in range(1, b.size):
             yield int(b[s - 1]) + 1, int(b[s])
 
-    def validate(self, series: WeightedSeries, rtol: float = 1e-9) -> None:
+    def validate(self, series: WeightedSeries) -> None:
         """Recompute every block weight and mean from the raw series.
 
         Uses direct summation, independent of the incremental update rules
-        the solvers use, and raises ValueError on disagreement beyond
-        ``rtol``.
+        the solvers use, and raises ValueError on disagreement beyond a
+        relative or absolute 1e-9.
         """
         if self.m != series.m:
             raise ValueError(f"partition covers {self.m} positions, series has {series.m}")
         for s, (lo, hi) in enumerate(self.blocks()):
             total, mean = _stretch(series.z[lo - 1 : hi], series.w[lo - 1 : hi])
-            if not isclose(total, float(self.weights[s]), rel_tol=rtol, abs_tol=rtol):
+            if not isclose(total, float(self.weights[s]), rel_tol=1e-9, abs_tol=1e-9):
                 raise ValueError(
                     f"block {s + 1} weight mismatch: stored {self.weights[s]}, summed {total}"
                 )
-            if not isclose(mean, float(self.means[s]), rel_tol=rtol, abs_tol=rtol):
+            if not isclose(mean, float(self.means[s]), rel_tol=1e-9, abs_tol=1e-9):
                 raise ValueError(
                     f"block {s + 1} mean mismatch: stored {self.means[s]}, summed {mean}"
                 )

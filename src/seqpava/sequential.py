@@ -137,13 +137,16 @@ def update_any(state: SequentialState, j_o: int, new_value: float) -> Sequential
 
 
 def _update(state: SequentialState, j: int, value: float, lowers: bool) -> SequentialState:
-    """Set ``z[j]`` of ``state`` to ``value``; only if ``lowers``, the value may be lower."""
-    if not (isinstance(j, int) or isinstance(j, np.integer)):
-        raise TypeError(f"position {j!r} is not an integer")
+    """Set ``z[j]`` of ``state`` to ``value``; only if ``lowers``, the value may be lower.
+
+    A position that is not an integer in 1..m goes to
+    :meth:`~seqpava.pava.BlockFit.set`, which refuses it with the engine's
+    message before ``z[j-1]`` is read (at j = 0 it would read ``z[-1]``); so
+    does a value that is not finite, after the decrease check.
+    """
     engine = state._reroot()
-    m = engine.z.size
-    if not 1 <= j <= m:  # refused before z[j-1] is read: j = 0 would read z[-1]
-        raise IndexError(f"position {j} is outside 1..{m}")
+    if not ((isinstance(j, int) or isinstance(j, np.integer)) and 0 < j <= engine.z.size):
+        engine.set(j, value)  # raises
     value = float(value)
     old = engine.z.item(j - 1)
     if not lowers and value <= old:

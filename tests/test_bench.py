@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from seqpava import ExperimentConfig, TimingReport, fit_family, generate_dataset, group, run_benchmark
+from seqpava import ExperimentConfig, TimingReport, bench, fit_family, generate_dataset, group, run_benchmark
 from seqpava.bench import response_scale, response_shape, sample_responses
 
 
@@ -15,7 +16,6 @@ class TestConfig:
             {"n": 1},
             {"replications": 0},
             {"seed": -1},
-            {"x_range": (3.0, 3.0)},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -24,7 +24,7 @@ class TestConfig:
 
     def test_defaults(self):
         cfg = ExperimentConfig()
-        assert cfg.n == 1000 and cfg.replications == 20 and cfg.x_range == (0.0, 10.0)
+        assert cfg.n == 1000 and cfg.replications == 20 and cfg.seed == 0
 
 
 class TestResponseModel:
@@ -99,8 +99,35 @@ class TestRunBenchmark:
     def test_json_round_trips(self, report):
         payload = json.loads(report.to_json())
         assert payload["config"]["n"] == 60
+        assert payload["config"]["x_range"] == [0.0, 10.0]  # a constant, kept in the JSON
         assert set(payload["times"]) == {"standard", "modified", "abridged"}
         assert set(payload["ratios"]) == {"standard/modified", "standard/abridged", "modified/abridged"}
+
+    def test_table_bytes(self):
+        cfg = ExperimentConfig(n=50, replications=2, seed=0)
+        times = {"standard": (1.0, 3.0), "modified": (0.5, 1.0), "abridged": (0.25, 0.5)}
+        assert TimingReport(cfg, times).format_table().splitlines() == [
+            "variant      mean T [s]     sd T [s]   T1/Tj mean   T1/Tj sd   T2/T3 mean   T2/T3 sd",
+            "standard       2.000000     1.414214" + " " * 48,
+            "modified       0.750000     0.353553       2.5000     0.7071" + " " * 24,
+            "abridged       0.375000     0.176777       5.0000     1.4142       2.0000     0.0000",
+        ]
+
+    @pytest.mark.parametrize("field", ["cdf", "thresholds"])
+    def test_estimates_one_ulp_apart_are_refused(self, monkeypatch, field):
+        fit = bench.fit_family
+
+        def nudged(obs, variant):
+            estimate = fit(obs, variant)
+            if variant != "abridged":
+                return estimate
+            values = getattr(estimate, field).copy()
+            values[(-1,) * values.ndim] = np.nextafter(values[(-1,) * values.ndim], np.inf)
+            return dataclasses.replace(estimate, **{field: values})
+
+        monkeypatch.setattr(bench, "fit_family", nudged)
+        with pytest.raises(RuntimeError, match="^abridged differs from standard on replication 0$"):
+            run_benchmark(ExperimentConfig(n=30, replications=1, seed=2))
 
     def test_table_lists_all_variants(self, report):
         table = report.format_table()

@@ -575,17 +575,27 @@ class TestFileFormat:
         assert code == 2
         assert "line 1:" in err
 
-    @pytest.mark.parametrize("index", [0, MIXED_Z.size + 1])
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            pytest.param("0,1", f"position 0 is outside 1..{MIXED_Z.size}", id="0"),
+            pytest.param("10,1", f"position 10 is outside 1..{MIXED_Z.size}", id="10"),
+            *(
+                pytest.param(f"2,{value}", f"new value at position 2 must be finite, got {value}", id=f"2,{value}")
+                for value in ("inf", "-inf", "nan")
+            ),
+        ],
+    )
     def test_change_position_out_of_range_reads_alike_in_every_variant(
-        self, capsys, tmp_path, mixed_file, index
+        self, capsys, tmp_path, mixed_file, change, message
     ):
-        changes = write(tmp_path / "c.csv", f"2,0\n{index},1\n")
+        # a change no variant can apply is refused by the engine, in its words
+        changes = write(tmp_path / "c.csv", f"2,0\n{change}\n")
         runs = [
             run_cli(capsys, "fit", mixed_file, "--variant", variant, "--changes", changes)
             for variant in ("standard", "modified", "abridged")
         ]
-        want = (1, "", f"error: position {index} is outside 1..{MIXED_Z.size}\n")
-        assert runs == [want] * 3
+        assert runs == [(1, "", f"error: {message}\n")] * 3
 
     @pytest.mark.parametrize("variant", ["standard", "modified", "abridged"])
     def test_empty_changes_file_is_no_changes(self, capsys, tmp_path, mixed_file, variant):

@@ -81,6 +81,17 @@ class TestUpdateIncrease:
 
     def test_rejects_bad_positions_and_values(self):
         state = init(WeightedSeries(MIXED_Z))
+        # every bad position, and a value that is not finite, reads as the engine words it
+        bad = [(j, -5.0) for j in (0, MIXED_Z.size + 1, 2.0, 2.5, np.float64(2.0), "2")]
+        bad += [(2, value) for value in (np.inf, -np.inf, np.nan)]
+        for j, value in bad:
+            with pytest.raises((IndexError, TypeError, ValueError)) as engine:
+                BlockFit(WeightedSeries(MIXED_Z)).set(j, value)
+            # update_increase refuses -inf as a decrease first
+            updates = (update_increase, update_any) if value != -np.inf else (update_any,)
+            for update in updates:
+                with pytest.raises(engine.type, match=f"^{re.escape(str(engine.value))}$"):
+                    update(state, j, value)
         # -5 lies below every response: reading z[j-1] first would blame a decrease
         for j in (0, MIXED_Z.size + 1):
             for update in (update_increase, update_any):

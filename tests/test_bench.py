@@ -16,6 +16,7 @@ class TestConfig:
             {"n": 1},
             {"replications": 0},
             {"seed": -1},
+            {"n": 0},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
